@@ -1,4 +1,4 @@
-// Parallel workload scaling: RunWorkloadParallel partitions the tuple
+// Parallel workload scaling: Engine::InferBatch partitions the tuple
 // DAG into independent components and fans them out across threads with
 // bit-reproducible results. This bench measures the speedup and verifies
 // thread-count invariance of the outputs.
@@ -9,8 +9,8 @@
 
 #include "bench_common.h"
 #include "bn/bayes_net.h"
+#include "core/engine.h"
 #include "core/learner.h"
-#include "core/workload_parallel.h"
 #include "expfw/networks.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -55,10 +55,14 @@ int main(int argc, char** argv) {
   std::vector<JointDist> reference;
   double base_secs = 0.0;
   for (size_t threads : {1u, 2u, 4u, 8u, 16u}) {
+    // A fresh engine per row: each measurement starts from cold
+    // inference contexts, capped at `threads` concurrent executors.
+    EngineOptions engine_opts;
+    engine_opts.max_parallelism = threads;
+    Engine engine(&*model, engine_opts);
     WorkloadStats stats;
-    auto dists = RunWorkloadParallel(*model, workload,
-                                     SamplingMode::kTupleDag, opts,
-                                     threads, &stats);
+    auto dists =
+        engine.InferBatch(workload, SamplingMode::kTupleDag, opts, &stats);
     if (!dists.ok()) {
       std::fprintf(stderr, "failed: %s\n",
                    dists.status().ToString().c_str());

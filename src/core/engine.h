@@ -3,9 +3,8 @@
 //
 // Every legacy entry point is a stateless free function that rebuilds its
 // working state per call — InferSingleAttribute re-derives matcher
-// scratch, each RunWorkload constructs a fresh GibbsSampler (and with it
-// a cold CpdCache), and RunWorkloadParallel used to spawn std::threads
-// per invocation. An Engine inverts that: it owns a loaded MrslModel, a
+// scratch, and each RunWorkload constructs a fresh GibbsSampler (and with
+// it a cold CpdCache). An Engine inverts that: it owns a loaded MrslModel, a
 // long-lived work-stealing thread pool, and a checkout pool of reusable
 // InferenceContexts, so a steady stream of batched requests executes with
 // zero per-request index, cache, or thread construction.
@@ -16,7 +15,7 @@
 // WorkloadComponentSeed — a pure function of the request seed and the
 // component's tuples. Results are therefore bit-identical for any thread
 // count, any EngineOptions, and any interleaving with other batches, and
-// they match the legacy RunWorkloadParallel output exactly. Context reuse
+// they match each component run alone through RunWorkload. Context reuse
 // is invisible in the output: a warm CpdCache only returns conditionals
 // that recomputation would produce bit-for-bit.
 

@@ -40,18 +40,17 @@
 #include "bn/topology.h"   // IWYU pragma: export
 
 // The MRSL core.
-#include "core/delta.h"              // IWYU pragma: export
-#include "core/diagnostics.h"        // IWYU pragma: export
-#include "core/engine.h"             // IWYU pragma: export
-#include "core/gibbs.h"              // IWYU pragma: export
-#include "core/infer_single.h"       // IWYU pragma: export
-#include "core/learner.h"            // IWYU pragma: export
-#include "core/model.h"              // IWYU pragma: export
-#include "core/model_io.h"           // IWYU pragma: export
-#include "core/repair.h"             // IWYU pragma: export
-#include "core/tuning.h"             // IWYU pragma: export
-#include "core/workload.h"           // IWYU pragma: export
-#include "core/workload_parallel.h"  // IWYU pragma: export
+#include "core/delta.h"         // IWYU pragma: export
+#include "core/diagnostics.h"   // IWYU pragma: export
+#include "core/engine.h"        // IWYU pragma: export
+#include "core/gibbs.h"         // IWYU pragma: export
+#include "core/infer_single.h"  // IWYU pragma: export
+#include "core/learner.h"       // IWYU pragma: export
+#include "core/model.h"         // IWYU pragma: export
+#include "core/model_io.h"      // IWYU pragma: export
+#include "core/repair.h"        // IWYU pragma: export
+#include "core/tuning.h"        // IWYU pragma: export
+#include "core/workload.h"      // IWYU pragma: export
 
 // Probabilistic database.
 #include "pdb/lazy.h"           // IWYU pragma: export

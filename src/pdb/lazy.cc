@@ -100,30 +100,6 @@ Result<size_t> LazyDeriver::MaterializeUncertain(const Predicate& pred,
   return pending.size();
 }
 
-Result<ProbDatabase> LazyDeriver::MaterializeDatabase(size_t batch_size,
-                                                      double min_prob) {
-  // Distinct incomplete rows still missing from the memo.
-  std::vector<Tuple> pending;
-  std::unordered_set<Tuple, TupleHash> seen;
-  for (uint32_t r : rel_->IncompleteRowIndices()) {
-    const Tuple& t = rel_->row(r);
-    if (cache_.find(t) != cache_.end() || !seen.insert(t).second) continue;
-    pending.push_back(t);
-  }
-  MRSL_RETURN_IF_ERROR(InferPending(pending, batch_size));
-  // Assemble in IncompleteRowIndices order, as FromInference expects.
-  std::vector<JointDist> dists;
-  dists.reserve(rel_->IncompleteRowIndices().size());
-  for (uint32_t r : rel_->IncompleteRowIndices()) {
-    auto it = cache_.find(rel_->row(r));
-    if (it == cache_.end()) {
-      return Status::Internal("incomplete row missing from memo");
-    }
-    dists.push_back(it->second);
-  }
-  return ProbDatabase::FromInference(*rel_, dists, min_prob);
-}
-
 Result<double> LazyDeriver::RowProbability(size_t row,
                                            const Predicate& pred) {
   if (row >= rel_->num_rows()) {

@@ -72,17 +72,6 @@ class LazyDeriver {
   Result<size_t> MaterializeUncertain(const Predicate& pred,
                                       size_t batch_size = 0);
 
-  /// Fully materializes the BID database for the relation: Δt for every
-  /// distinct incomplete row (reusing the memo, batching new inference
-  /// `batch_size` tuples per engine batch when an engine backs the
-  /// deriver), assembled via ProbDatabase::FromInference. This is the
-  /// bridge from lazy per-predicate answering to the plan algebra
-  /// (pdb/plan.h), whose Scan needs every block. Alternatives below
-  /// `min_prob` are dropped and the block renormalized (see
-  /// ProbDatabase::FromInference).
-  Result<ProbDatabase> MaterializeDatabase(size_t batch_size = 0,
-                                           double min_prob = 0.0);
-
   /// Warms the memo from a store epoch (pdb/store.h): every distinct
   /// incomplete tuple of this deriver's relation whose Δt the snapshot
   /// already carries is copied into the cache, so subsequent queries on

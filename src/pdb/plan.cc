@@ -26,46 +26,17 @@
 #include <utility>
 
 #include "pdb/columnar.h"
+#include "pdb/plan_internal.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mrsl {
 namespace {
 
-double Clamp01(double p) { return std::min(1.0, std::max(0.0, p)); }
-
-// Sorted-unique merge of two block-key sets.
-std::vector<uint64_t> UnionKeys(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b) {
-  std::vector<uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-bool KeysIntersect(const std::vector<uint64_t>& a,
-                   const std::vector<uint64_t>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia == *ib) return true;
-    if (*ia < *ib) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  return false;
-}
-
-// Clamped mass of an alternative set of one block (alts sorted, unique).
-double AltSetMass(const ProbDatabase& db, size_t block,
-                  const std::vector<uint32_t>& alts) {
-  double mass = 0.0;
-  for (uint32_t j : alts) mass += db.block(block).alternatives[j].prob;
-  return Clamp01(mass);
-}
+using plan_internal::AltSetMass;
+using plan_internal::Clamp01;
+using plan_internal::KeysIntersect;
+using plan_internal::UnionKeys;
 
 // An owned row event (the output of a combination rule).
 struct Event {

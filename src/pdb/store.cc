@@ -301,27 +301,6 @@ Result<StoreQueryResult> BidStore::Query(
   return QueryOn(snapshot(), plan_text, &compile_options);
 }
 
-std::vector<Result<StoreQueryResult>> BidStore::QueryBatch(
-    const std::vector<std::string>& plan_texts) {
-  return QueryBatch(plan_texts, std::vector<TraceSpan>());
-}
-
-std::vector<Result<StoreQueryResult>> BidStore::QueryBatch(
-    const std::vector<std::string>& plan_texts,
-    const std::vector<TraceSpan>& spans) {
-  // One atomic load pins the epoch for the whole batch: every answer
-  // comes from the same consistent snapshot no matter how many commits
-  // land while the batch is being evaluated.
-  SnapshotPtr snap = snapshot();
-  std::vector<Result<StoreQueryResult>> results;
-  results.reserve(plan_texts.size());
-  for (size_t i = 0; i < plan_texts.size(); ++i) {
-    results.push_back(QueryOn(snap, plan_texts[i], nullptr,
-                              i < spans.size() ? spans[i] : TraceSpan()));
-  }
-  return results;
-}
-
 Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
                                            const std::string& plan_text,
                                            const CompileOptions* compile,
@@ -337,6 +316,7 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
                         PlanToString(*parsed.plan, sources));
   StoreQueryResult out;
   out.epoch = snap->epoch();
+  out.plan = parsed.plan;
   switch (parsed.kind) {
     case ParsedQuery::Kind::kRelation:
       out.canonical_text = rendered;

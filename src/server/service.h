@@ -51,9 +51,9 @@
 //
 // Query batching: handler tasks enqueue their plan text and, when no
 // leader is active, one of them becomes the batch leader. The leader
-// drains ONE group (up to max_batch entries) and evaluates it through
-// ONE pinned snapshot (BidStore::QueryBatch) — so concurrent /query
-// requests resolve against one consistent epoch and share one
+// drains ONE group (up to max_batch entries), pins ONE snapshot, and
+// answers every entry through BidStore::QueryOn on it — so concurrent
+// /query requests resolve against one consistent epoch and share one
 // PlanCache-aware pass — then releases leadership and returns as soon
 // as its own entry is answered. Under sustained load the next waiter
 // leads the next group (no request is delayed behind later arrivals);
@@ -104,9 +104,6 @@ struct StoreServiceOptions {
   /// whole budget, so a remote caller must not be able to order up an
   /// unbounded amount of refinement.
   size_t max_compile_budget_ms = 10000;
-
-  /// When false, POST /update answers 405 — a read-only replica.
-  bool allow_update = true;
 
   /// Slow-query threshold in milliseconds: a /query whose handler wall
   /// time reaches this lands in the GET /debug/slow ring. 0 logs every
@@ -206,6 +203,30 @@ class StoreService {
   BidStore* store_;
   StoreServiceOptions options_;
   MetricsRegistry* metrics_ = nullptr;  // owned by the attached server
+
+  // Series handles, resolved once in Attach: registration takes the
+  // registry mutex, the request path then only touches atomics. Null
+  // until Attach (programmatic BatchedUpdate records no metrics).
+  struct MetricHandles {
+    Counter* queries = nullptr;
+    Counter* cache_hits = nullptr;
+    Counter* cache_misses = nullptr;
+    Histogram* stage_parse = nullptr;
+    Histogram* stage_evaluate = nullptr;
+    Histogram* stage_combine = nullptr;
+    Histogram* query_batch_size = nullptr;
+    Histogram* compile_seconds = nullptr;
+    Histogram* bounds_width = nullptr;
+    Counter* slow_queries = nullptr;
+    Counter* commits = nullptr;
+    Histogram* wal_sync_seconds = nullptr;
+    Histogram* update_group_size = nullptr;
+    Gauge* wal_live_records = nullptr;
+    Gauge* wal_live_bytes = nullptr;
+    Gauge* wal_segments = nullptr;
+    Gauge* uptime = nullptr;
+  };
+  MetricHandles m_;
 
   std::mutex batch_mutex_;
   std::condition_variable batch_cv_;

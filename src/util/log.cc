@@ -44,42 +44,12 @@ std::string FormatTimestamp(double unix_seconds) {
   return buf;
 }
 
-void AppendJsonEscaped(const std::string& in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendFieldValue(const LogField& field, bool json, std::string* out) {
   switch (field.type) {
     case LogField::Type::kString:
       if (json) {
         *out += '"';
-        AppendJsonEscaped(field.str, out);
+        *out += JsonEscape(field.str);
         *out += '"';
       } else {
         *out += field.str;
@@ -228,13 +198,13 @@ void Logger::Log(LogLevel level, const std::string& component,
     line += "{\"ts\":\"" + ts + "\",\"level\":\"";
     line += LogLevelName(level);
     line += "\",\"component\":\"";
-    AppendJsonEscaped(component, &line);
+    line += JsonEscape(component);
     line += "\",\"msg\":\"";
-    AppendJsonEscaped(message, &line);
+    line += JsonEscape(message);
     line += '"';
     for (const LogField& field : fields) {
       line += ",\"";
-      AppendJsonEscaped(field.key, &line);
+      line += JsonEscape(field.key);
       line += "\":";
       AppendFieldValue(field, true, &line);
     }

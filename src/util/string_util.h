@@ -27,6 +27,10 @@ bool ParseDouble(std::string_view s, double* out);
 /// True iff `s` parses fully as an int64; stores it in *out.
 bool ParseInt(std::string_view s, int64_t* out);
 
+/// Escapes `s` for a JSON string literal (without the quotes): quote,
+/// backslash, \n \r \t, and other control characters as \u00XX.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace mrsl
 
 #endif  // MRSL_UTIL_STRING_UTIL_H_

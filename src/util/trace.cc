@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "util/string_util.h"
+
 namespace mrsl {
 namespace {
 
@@ -23,30 +25,6 @@ uint32_t CurrentTraceTid() {
   static std::atomic<uint32_t> next{1};
   thread_local uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void AppendMicros(std::string* out, uint64_t ns) {

@@ -1,16 +1,19 @@
 // Tests for the persistent inference engine: bit-equivalence with the
-// legacy per-call path, thread-count-independent determinism, context
-// reuse across successive batches, and the end-to-end batched APIs.
+// legacy per-call path, thread-count-independent determinism, accuracy
+// against exact inference, context reuse across successive batches, and
+// the end-to-end batched APIs.
 
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
 #include "bn/bayes_net.h"
+#include "bn/exact.h"
 #include "core/infer_single.h"
 #include "core/learner.h"
 #include "core/tuple_dag.h"
 #include "core/workload.h"
+#include "expfw/metrics.h"
 
 namespace mrsl {
 namespace {
@@ -54,12 +57,16 @@ class EngineTest : public ::testing::Test {
 
 // The determinism contract: InferBatch must reproduce, bit for bit, the
 // pre-refactor reference — each DAG component run through the sequential
-// RunWorkload with its WorkloadComponentSeed, stitched back by node.
+// RunWorkload with its WorkloadComponentSeed, stitched back by node. The
+// batch repeats some tuples: duplicates share their node's result, and
+// every output is aligned with its input and normalized.
 TEST_F(EngineTest, BatchMatchesPerComponentSequentialReference) {
+  std::vector<Tuple> batch_input = workload_;
+  for (size_t i : {0u, 1u, 0u}) batch_input.push_back(workload_[i]);
   for (SamplingMode mode :
        {SamplingMode::kTupleAtATime, SamplingMode::kTupleDag,
         SamplingMode::kIndependentProduct}) {
-    TupleDag dag(workload_);
+    TupleDag dag(batch_input);
     auto components = dag.Components();
     std::vector<const JointDist*> by_node(dag.num_nodes(), nullptr);
     std::vector<std::vector<JointDist>> sub_results(components.size());
@@ -77,36 +84,74 @@ TEST_F(EngineTest, BatchMatchesPerComponentSequentialReference) {
     }
 
     Engine engine(&model_);
-    auto batch = engine.InferBatch(workload_, mode, WOpts());
+    WorkloadStats stats;
+    auto batch = engine.InferBatch(batch_input, mode, WOpts(), &stats);
     ASSERT_TRUE(batch.ok());
-    ASSERT_EQ(batch->size(), workload_.size());
-    for (size_t pos = 0; pos < workload_.size(); ++pos) {
+    ASSERT_EQ(batch->size(), batch_input.size());
+    for (size_t pos = 0; pos < batch_input.size(); ++pos) {
       EXPECT_EQ((*batch)[pos].probs(),
                 by_node[dag.workload_to_node()[pos]]->probs())
           << "mode=" << SamplingModeName(mode) << " pos=" << pos;
+      EXPECT_EQ((*batch)[pos].vars(), batch_input[pos].MissingAttrs());
+      EXPECT_NEAR((*batch)[pos].Sum(), 1.0, 1e-9);
     }
+    const size_t n = workload_.size();
+    EXPECT_EQ((*batch)[n].probs(), (*batch)[0].probs());
+    EXPECT_EQ((*batch)[n + 1].probs(), (*batch)[1].probs());
+    EXPECT_EQ((*batch)[n + 2].probs(), (*batch)[0].probs());
+    if (mode != SamplingMode::kIndependentProduct) {  // product: no Gibbs
+      EXPECT_GT(stats.points_sampled, 0u);
+    }
+    // Distinct tuples add up across components to the global dedup count.
+    EXPECT_EQ(stats.distinct_tuples, dag.num_nodes());
   }
 }
 
 TEST_F(EngineTest, DeterministicAcrossThreadCounts) {
-  std::vector<std::vector<JointDist>> results;
-  for (size_t threads : {1u, 2u, 8u}) {
-    EngineOptions eo;
-    eo.num_threads = threads;
-    Engine engine(&model_, eo);
-    EXPECT_EQ(engine.num_threads(), threads);
-    auto dists =
-        engine.InferBatch(workload_, SamplingMode::kTupleDag, WOpts());
-    ASSERT_TRUE(dists.ok());
-    results.push_back(std::move(dists).value());
-  }
-  for (size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].size(), results[0].size());
-    for (size_t i = 0; i < results[0].size(); ++i) {
-      EXPECT_EQ(results[r][i].probs(), results[0][i].probs())
-          << "thread config " << r << " diverged at " << i;
+  for (SamplingMode mode :
+       {SamplingMode::kTupleAtATime, SamplingMode::kTupleDag}) {
+    std::vector<std::vector<JointDist>> results;
+    for (size_t threads : {1u, 2u, 8u}) {
+      EngineOptions eo;
+      eo.num_threads = threads;
+      Engine engine(&model_, eo);
+      EXPECT_EQ(engine.num_threads(), threads);
+      auto dists = engine.InferBatch(workload_, mode, WOpts());
+      ASSERT_TRUE(dists.ok());
+      results.push_back(std::move(dists).value());
+    }
+    for (size_t r = 1; r < results.size(); ++r) {
+      ASSERT_EQ(results[r].size(), results[0].size());
+      for (size_t i = 0; i < results[0].size(); ++i) {
+        EXPECT_EQ(results[r][i].probs(), results[0][i].probs())
+            << "mode=" << SamplingModeName(mode) << " thread config " << r
+            << " diverged at " << i;
+      }
     }
   }
+}
+
+// Per-component seeding changes the sampled streams, not their quality:
+// the batched DAG derivation is as close to exact inference as one
+// sequential RunWorkload chain over the whole workload.
+TEST_F(EngineTest, AccuracyComparableToSequential) {
+  EngineOptions eo;
+  eo.num_threads = 8;
+  Engine engine(&model_, eo);
+  auto batch = engine.InferBatch(workload_, SamplingMode::kTupleDag, WOpts());
+  auto seq =
+      RunWorkload(model_, workload_, SamplingMode::kTupleDag, WOpts());
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(seq.ok());
+  AccuracyAccumulator batch_acc;
+  AccuracyAccumulator seq_acc;
+  for (size_t i = 0; i < workload_.size(); ++i) {
+    auto truth = TrueDistribution(bn_, workload_[i]);
+    ASSERT_TRUE(truth.ok());
+    batch_acc.Add(KlDivergence(*truth, (*batch)[i]), false);
+    seq_acc.Add(KlDivergence(*truth, (*seq)[i]), false);
+  }
+  EXPECT_NEAR(batch_acc.MeanKl(), seq_acc.MeanKl(), 0.05);
 }
 
 // Context reuse: successive batches on one engine reuse pooled contexts

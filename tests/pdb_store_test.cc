@@ -647,10 +647,10 @@ TEST_F(StoreTest, PlanCacheDropsEntriesThatSkippedACommit) {
   EXPECT_NE(cache.Lookup("q", 3), nullptr);
 }
 
-// QueryBatch (the server's batched query hook) pins ONE snapshot for
-// the whole batch: answers all carry that epoch even when a commit
-// lands mid-batch, and duplicates within the batch hit the cache.
-TEST_F(StoreTest, QueryBatchPinsOneSnapshotAcrossCommits) {
+// QueryOn against one pinned snapshot (the server's batched query pass)
+// answers every plan at that epoch, even when a commit lands between
+// two of them, and duplicates against the pin hit the cache.
+TEST_F(StoreTest, QueryOnPinsOneSnapshotAcrossCommits) {
   Engine engine(&model_);
   BidStore store(&engine, SOpts());
   ASSERT_TRUE(store.Commit(BaseRelation()).ok());
@@ -659,34 +659,35 @@ TEST_F(StoreTest, QueryBatchPinsOneSnapshotAcrossCommits) {
                                  "=" + schema_.attr(0).label(0) +
                                  "; scan))";
   const std::string exists_plan = "exists(scan)";
-  auto results =
-      store.QueryBatch({count_plan, exists_plan, count_plan, "bogus("});
-  ASSERT_EQ(results.size(), 4u);
-  ASSERT_TRUE(results[0].ok());
-  ASSERT_TRUE(results[1].ok());
-  ASSERT_TRUE(results[2].ok());
-  EXPECT_FALSE(results[3].ok());  // per-plan errors don't sink the batch
-  EXPECT_EQ(results[0]->epoch, 1u);
-  EXPECT_EQ(results[1]->epoch, 1u);
-  EXPECT_FALSE(results[0]->from_cache);
-  EXPECT_TRUE(results[2]->from_cache);  // duplicate hits within the batch
-  EXPECT_EQ(results[2]->eval.get(), results[0]->eval.get());
+  const SnapshotPtr pinned = store.snapshot();
+  auto count = store.QueryOn(pinned, count_plan);
+  auto exists = store.QueryOn(pinned, exists_plan);
+  auto count_again = store.QueryOn(pinned, count_plan);
+  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(exists.ok());
+  ASSERT_TRUE(count_again.ok());
+  EXPECT_EQ(count->epoch, 1u);
+  EXPECT_EQ(exists->epoch, 1u);
+  EXPECT_FALSE(count->from_cache);
+  EXPECT_TRUE(count_again->from_cache);  // duplicate hits on the pin
+  EXPECT_EQ(count_again->eval.get(), count->eval.get());
+  // The parsed plan rides along on misses and hits alike.
+  ASSERT_NE(count->plan, nullptr);
+  EXPECT_NE(count_again->plan, nullptr);
 
-  // QueryOn keeps answering on an explicitly pinned past epoch while
-  // the store moves on; a pinned-snapshot evaluation computed after the
-  // commit matches the pre-commit answer bit for bit.
-  SnapshotPtr pinned = store.snapshot();
+  // A commit lands mid-batch: the rest of the batch still answers on
+  // the pinned epoch, a bad plan fails alone, and a pinned evaluation
+  // computed after the commit matches the pre-commit answer bit for bit.
   RelationDelta d;
   d.inserts.push_back(T({1, 2, -1, -1}));
   ASSERT_TRUE(store.ApplyDelta(d).ok());
   EXPECT_EQ(store.epoch(), 2u);
+  EXPECT_FALSE(store.QueryOn(pinned, "bogus(").ok());
   auto stale = store.QueryOn(pinned, exists_plan);
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(stale->epoch, 1u);
-  EXPECT_EQ(stale->eval->exists.prob.lo,
-            results[1]->eval->exists.prob.lo);
-  EXPECT_EQ(stale->eval->exists.prob.hi,
-            results[1]->eval->exists.prob.hi);
+  EXPECT_EQ(stale->eval->exists.prob.lo, exists->eval->exists.prob.lo);
+  EXPECT_EQ(stale->eval->exists.prob.hi, exists->eval->exists.prob.hi);
 
   // The current epoch still answers through Query/the cache as usual.
   auto fresh = store.Query(exists_plan);

@@ -20,11 +20,14 @@
 //           [--oracle N] [--min-prob p] [--width W] [--budget-ms B]
 //           [--propagation 1]
 //           Extensional plan evaluation over the fully derived BID
-//           database: select/project/join/exists/count with exact
-//           probabilities on safe plans and [lower, upper] dissociation
-//           bounds on unsafe ones; --oracle N cross-checks against N
-//           Monte-Carlo sampled possible worlds. --plan-file reads the
-//           plan text from a file (large plans without shell quoting).
+//           database, committed into a BidStore and answered through
+//           BidStore::QueryOn like serve's POST /query (--batch-size
+//           applies to --where only): select/project/join/exists/count
+//           with exact probabilities on safe plans and [lower, upper]
+//           dissociation bounds on unsafe ones; --oracle N
+//           cross-checks against N Monte-Carlo sampled possible worlds.
+//           --plan-file reads the plan text from a file (large plans
+//           without shell quoting).
 //           --width / --budget-ms / --propagation route the plan through
 //           the safe-plan compiler (pdb/compiler.h): anytime lattice
 //           refinement until the mean bounds width reaches W or B ms
@@ -125,11 +128,14 @@ const std::map<std::string, std::string>& CmdUsageTexts() {
        "    [--samples 2000] [--threads 0] [--batch-size 0]\n"
        "mrsl query --model model.txt --in data.csv --plan PLAN\n"
        "    [--plan-file plan.txt] [--oracle 0] [--min-prob 0]\n"
-       "    [--samples 2000] [--threads 0] [--batch-size 0]\n"
+       "    [--samples 2000] [--threads 0]\n"
        "    [--width W] [--budget-ms B] [--propagation 1]\n"
        "  PLAN: scan | select(pred; node) | project(attrs; node)\n"
        "        | join(node; node; a=b) | exists(node) | count(node)\n"
        "  e.g. \"count(select(edu=HS & inc=100K; scan))\"\n"
+       "  --plan derives the whole relation and answers through the\n"
+       "  store's query path, as serve's POST /query does;\n"
+       "  --batch-size applies to --where only.\n"
        "  --width/--budget-ms compile the plan: anytime dissociation-\n"
        "  lattice refinement until the mean bounds width <= W (in [0,1])\n"
        "  or B ms elapse; --propagation 1 prints ranking scores only.\n"},
@@ -217,8 +223,8 @@ void PrintGlobalUsage(std::FILE* out) {
       "  --threads N     inference thread-pool width (0 = all cores);\n"
       "                  results are identical for every thread count\n"
       "  --batch-size K  tuples per engine batch (0 = one batch); for\n"
-      "                  query, pre-materializes uncertain rows K at a\n"
-      "                  time\n");
+      "                  query --where, pre-materializes uncertain rows\n"
+      "                  K at a time\n");
 }
 
 int Usage() {
@@ -527,67 +533,79 @@ int CmdRepair(const std::map<std::string, std::vector<std::string>>& flags) {
   return 0;
 }
 
-// Extensional plan evaluation over the fully derived BID database:
-// parse --plan against the derived schema, evaluate bottom-up (exact on
-// safe plans, dissociation bounds on unsafe ones), optionally
-// cross-check with the Monte-Carlo possible-world oracle.
-int RunPlanQuery(const MrslModel& model, const Relation& rel,
+// Parses the store/engine flags shared by query --plan, update and
+// serve.
+bool ParseStoreFlags(
+    const std::map<std::string, std::vector<std::string>>& flags,
+    StoreOptions* store_opts, EngineOptions* engine_opts) {
+  int64_t threads = 0;
+  if (!ParseGibbs(flags, &store_opts->workload, &store_opts->mode) ||
+      !GetIntFlag(flags, "threads", 0, &threads) ||
+      !GetDoubleFlag(flags, "min-prob", 0.0, &store_opts->min_prob)) {
+    return false;
+  }
+  engine_opts->num_threads = static_cast<size_t>(threads);
+  return true;
+}
+
+// Plan evaluation over the fully derived BID database, on the one query
+// path the server uses: commit the relation into a BidStore and answer
+// through BidStore::QueryOn — exact on safe plans, dissociation bounds
+// on unsafe ones, the safe-plan compiler when a compiler flag is given —
+// optionally cross-checked with the Monte-Carlo possible-world oracle.
+int RunPlanQuery(const MrslModel& model, Relation rel,
                  const std::map<std::string, std::vector<std::string>>& flags,
                  const std::string& plan_text) {
   const auto Usage = [] { return UsageFor("query"); };
-  GibbsOptions gibbs;
-  int64_t samples = 0;
-  int64_t oracle_trials = 0;
-  double min_prob = 0.0;
-  double width = 0.0;
-  double budget_ms = 0.0;
-  int64_t propagation = 0;
+  StoreOptions store_opts;
   EngineOptions engine_opts;
-  size_t batch_size = 0;
-  if (!GetIntFlag(flags, "samples", 2000, &samples) ||
+  int64_t oracle_trials = 0;
+  CompileOptions copts;
+  int64_t propagation = 0;
+  if (!ParseStoreFlags(flags, &store_opts, &engine_opts) ||
       !GetIntFlag(flags, "oracle", 0, &oracle_trials) ||
-      !GetDoubleFlag(flags, "min-prob", 0.0, &min_prob) ||
-      !GetDoubleFlag(flags, "width", 0.0, &width) ||
-      !GetDoubleFlag(flags, "budget-ms", 0.0, &budget_ms) ||
+      !GetDoubleFlag(flags, "width", 0.0, &copts.width_target) ||
+      !GetDoubleFlag(flags, "budget-ms", 0.0, &copts.budget_ms) ||
       !GetIntFlag(flags, "propagation", 0, &propagation) ||
-      width < 0.0 || width > 1.0 || budget_ms < 0.0 ||
-      !ParseEngineFlags(flags, &engine_opts, &batch_size)) {
+      copts.width_target < 0.0 || copts.width_target > 1.0 ||
+      copts.budget_ms < 0.0) {
     return Usage();
   }
-  gibbs.samples = static_cast<size_t>(samples);
+  copts.propagation_only = propagation != 0;
+  if (flags.count("batch-size") != 0) {
+    std::fprintf(stderr, "note: --batch-size applies to --where only\n");
+  }
   // Any compiler flag routes the plan through the safe-plan compiler.
   const bool with_compile = flags.count("width") != 0 ||
                             flags.count("budget-ms") != 0 ||
                             flags.count("propagation") != 0;
 
   Engine engine(&model, engine_opts);
-  LazyDeriver lazy(&engine, &rel, gibbs);
-  auto db = lazy.MaterializeDatabase(batch_size, min_prob);
-  if (!db.ok()) {
-    std::fprintf(stderr, "error: %s\n", db.status().ToString().c_str());
+  BidStore store(&engine, store_opts);
+  auto committed = store.Commit(std::move(rel));
+  if (!committed.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 committed.status().ToString().c_str());
     return 1;
   }
-  std::vector<const ProbDatabase*> sources = {&*db};
-
-  auto parsed = ParsePlan(plan_text, sources);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 parsed.status().ToString().c_str());
-    return 2;
+  const SnapshotPtr snap = store.snapshot();
+  auto answer =
+      store.QueryOn(snap, plan_text, with_compile ? &copts : nullptr);
+  if (!answer.ok()) {
+    std::fprintf(stderr, "error: %s\n", answer.status().ToString().c_str());
+    return answer.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
-  auto rendered = PlanToString(*parsed->plan, sources);
-  std::printf("PLAN %s  (%zu blocks)\n",
-              rendered.ok() ? rendered->c_str() : plan_text.c_str(),
-              db->num_blocks());
+  std::printf("PLAN %s  (%zu blocks)\n", answer->canonical_text.c_str(),
+              snap->database().num_blocks());
 
-  // The oracle estimate, when requested (shared by all three kinds).
-  bool with_oracle = oracle_trials > 0;
+  const bool with_oracle = oracle_trials > 0;
   OracleResult oracle;
   if (with_oracle) {
     OracleOptions oo;
     oo.trials = static_cast<size_t>(oracle_trials);
     oo.num_threads = engine_opts.num_threads;
-    auto estimated = MonteCarloPlanOracle(*parsed->plan, sources, oo);
+    auto estimated =
+        MonteCarloPlanOracle(*answer->plan, {&snap->database()}, oo);
     if (!estimated.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    estimated.status().ToString().c_str());
@@ -596,98 +614,25 @@ int RunPlanQuery(const MrslModel& model, const Relation& rel,
     oracle = std::move(estimated).value();
   }
 
-  if (with_compile) {
-    CompileOptions copts;
-    copts.width_target = width;
-    copts.budget_ms = budget_ms;
-    copts.propagation_only = propagation != 0;
-    // Only the answer this query kind prints is materialized.
-    copts.want_exists = parsed->kind == ParsedQuery::Kind::kExists;
-    copts.want_count = parsed->kind == ParsedQuery::Kind::kCount;
-    auto compiled = CompileQuery(*parsed->plan, sources, copts);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   compiled.status().ToString().c_str());
-      return 1;
-    }
-    const CompileStats& cs = compiled->stats;
-    switch (parsed->kind) {
-      case ParsedQuery::Kind::kRelation: {
-        std::printf("%s: %zu distinct tuples\n",
-                    cs.propagation ? "propagation scores (ranking only)"
-                    : cs.plan_safe ? "exact (safe plan)"
-                                   : "compiled envelope",
-                    compiled->marginals.size());
-        std::unordered_map<Tuple, double, TupleHash> freq;
-        for (const ProbTuple& pt : oracle.marginals) {
-          freq.emplace(pt.tuple, pt.prob);
-        }
-        for (const DistinctMarginal& m : compiled->marginals) {
-          std::printf("  %s  p=%s",
-                      m.tuple.ToString(compiled->schema).c_str(),
-                      m.prob.ToString().c_str());
-          if (with_oracle) {
-            auto it = freq.find(m.tuple);
-            std::printf("  oracle=%.4f",
-                        it == freq.end() ? 0.0 : it->second);
-          }
-          std::printf("\n");
-        }
-        break;
-      }
-      case ParsedQuery::Kind::kExists:
-        std::printf("P(result non-empty) = %s  (%s)\n",
-                    compiled->exists.prob.ToString().c_str(),
-                    cs.plan_safe ? "exact" : "compiled envelope");
-        if (with_oracle) {
-          std::printf("oracle (%zu worlds):  %.4f\n", oracle.trials,
-                      oracle.exists);
-        }
-        break;
-      case ParsedQuery::Kind::kCount:
-        std::printf("E[count] = %s  (%s)\n",
-                    compiled->count.expected.ToString().c_str(),
-                    cs.plan_safe ? "exact" : "compiled envelope");
-        if (with_oracle) {
-          std::printf("oracle (%zu worlds):  E[count] = %.4f\n",
-                      oracle.trials, oracle.expected_count);
-        }
-        break;
-    }
-    std::printf(
-        "compile: groups=%zu unsafe=%zu refined=%zu worlds=%zu "
-        "width %.4f -> %.4f in %.1f ms%s%s\n",
-        cs.groups_total, cs.groups_unsafe, cs.groups_refined,
-        cs.worlds_expanded, cs.mean_width_base, cs.mean_width_final,
-        cs.compile_seconds * 1e3,
-        cs.width_target_met ? "  [width target met]" : "",
-        cs.budget_exhausted ? "  [budget exhausted]" : "");
-    if (cs.propagation) {
-      std::printf(
-          "note: propagation scores rank tuples but are NOT sound "
-          "probability bounds\n");
-    }
-    return 0;
-  }
-
-  switch (parsed->kind) {
+  const PlanEvaluation& eval = *answer->eval;
+  const CompileStats& cs = eval.compile_stats;
+  // Where the answer's probabilities come from; `safe` is the plain
+  // evaluator's verdict for this query kind.
+  const auto how = [&eval, &cs](bool safe) {
+    if (!eval.compiled) return safe ? "exact" : "dissociation bounds";
+    if (cs.propagation) return "propagation scores (ranking only)";
+    return cs.plan_safe ? "exact (safe plan)" : "compiled envelope";
+  };
+  switch (eval.kind) {
     case ParsedQuery::Kind::kRelation: {
-      auto result = EvaluatePlan(*parsed->plan, sources);
-      if (!result.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      auto marginals = DistinctMarginals(*result, sources);
-      std::printf("%s: %zu distinct tuples\n",
-                  result->safe ? "exact" : "dissociation bounds",
-                  marginals.size());
+      std::printf("%s: %zu distinct tuples\n", how(eval.result.safe),
+                  eval.marginals.size());
       std::unordered_map<Tuple, double, TupleHash> freq;
       for (const ProbTuple& pt : oracle.marginals) {
         freq.emplace(pt.tuple, pt.prob);
       }
-      for (const DistinctMarginal& m : marginals) {
-        std::printf("  %s  p=%s", m.tuple.ToString(result->schema).c_str(),
+      for (const DistinctMarginal& m : eval.marginals) {
+        std::printf("  %s  p=%s", m.tuple.ToString(eval.result.schema).c_str(),
                     m.prob.ToString().c_str());
         if (with_oracle) {
           auto it = freq.find(m.tuple);
@@ -695,49 +640,52 @@ int RunPlanQuery(const MrslModel& model, const Relation& rel,
         }
         std::printf("\n");
       }
-      return 0;
+      break;
     }
-    case ParsedQuery::Kind::kExists: {
-      auto exists = EvaluateExists(*parsed->plan, sources);
-      if (!exists.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     exists.status().ToString().c_str());
-        return 1;
-      }
+    case ParsedQuery::Kind::kExists:
       std::printf("P(result non-empty) = %s  (%s)\n",
-                  exists->prob.ToString().c_str(),
-                  exists->safe ? "exact" : "dissociation bounds");
+                  eval.exists.prob.ToString().c_str(), how(eval.exists.safe));
       if (with_oracle) {
         std::printf("oracle (%zu worlds):  %.4f\n", oracle.trials,
                     oracle.exists);
       }
-      return 0;
-    }
-    case ParsedQuery::Kind::kCount: {
-      auto count = EvaluateCount(*parsed->plan, sources);
-      if (!count.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     count.status().ToString().c_str());
-        return 1;
-      }
+      break;
+    case ParsedQuery::Kind::kCount:
       std::printf("E[count] = %s  (%s)\n",
-                  count->expected.ToString().c_str(),
-                  count->safe ? "exact" : "dissociation bounds");
-      if (count->has_distribution) {
-        for (size_t k = 0; k < count->distribution.size() && k < 16; ++k) {
-          if (count->distribution[k] < 1e-9) continue;
+                  eval.count.expected.ToString().c_str(),
+                  how(eval.count.safe));
+      if (eval.count.has_distribution) {
+        for (size_t k = 0; k < eval.count.distribution.size() && k < 16;
+             ++k) {
+          if (eval.count.distribution[k] < 1e-9) continue;
           std::printf("  P(count=%zu) = %.6f\n", k,
-                      count->distribution[k]);
+                      eval.count.distribution[k]);
         }
       }
       if (with_oracle) {
         std::printf("oracle (%zu worlds):  E[count] = %.4f\n",
                     oracle.trials, oracle.expected_count);
       }
-      return 0;
+      break;
+  }
+  if (eval.compiled) {
+    // The cached entry carries no wall time; the compile ran as this
+    // query's evaluate stage.
+    std::printf(
+        "compile: groups=%zu unsafe=%zu refined=%zu worlds=%zu "
+        "width %.4f -> %.4f in %.1f ms%s%s\n",
+        cs.groups_total, cs.groups_unsafe, cs.groups_refined,
+        cs.worlds_expanded, cs.mean_width_base, cs.mean_width_final,
+        answer->stages.evaluate_seconds * 1e3,
+        cs.width_target_met ? "  [width target met]" : "",
+        cs.budget_exhausted ? "  [budget exhausted]" : "");
+    if (cs.propagation) {
+      std::printf(
+          "note: propagation scores rank tuples but are NOT sound "
+          "probability bounds\n");
     }
   }
-  return 1;
+  return 0;
 }
 
 int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
@@ -778,7 +726,7 @@ int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
   }
 
   if (!plan_text.empty()) {
-    return RunPlanQuery(*model, *rel, flags, plan_text);
+    return RunPlanQuery(*model, std::move(rel).value(), flags, plan_text);
   }
 
   // Parse the conjunction against the *model's* schema (the source of
@@ -975,20 +923,6 @@ int SaveOrCheckpoint(BidStore* store, const std::string& snapshot_path,
               snapshot_path.c_str(),
               wal_enabled ? " (WAL compacted)" : "");
   return 0;
-}
-
-// Parses the store/engine flags shared by update and serve.
-bool ParseStoreFlags(
-    const std::map<std::string, std::vector<std::string>>& flags,
-    StoreOptions* store_opts, EngineOptions* engine_opts) {
-  int64_t threads = 0;
-  if (!ParseGibbs(flags, &store_opts->workload, &store_opts->mode) ||
-      !GetIntFlag(flags, "threads", 0, &threads) ||
-      !GetDoubleFlag(flags, "min-prob", 0.0, &store_opts->min_prob)) {
-    return false;
-  }
-  engine_opts->num_threads = static_cast<size_t>(threads);
-  return true;
 }
 
 // Versioned-store maintenance: restore-or-derive, optionally apply a
