@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "core/engine.h"
 #include "core/learner.h"
 #include "core/repair.h"
 #include "core/workload.h"
@@ -145,7 +146,8 @@ int main() {
   GibbsOptions gibbs;
   gibbs.samples = 600;
   gibbs.burn_in = 80;
-  LazyDeriver lazy(&*model, &*joined, gibbs);
+  Engine engine(&*model);
+  LazyDeriver lazy(&engine, &*joined, gibbs);
   Predicate risky =
       Predicate::Eq(glucose_id, top_glucose).And(Predicate::Eq(age_id, senior));
   auto count = lazy.ExpectedCount(risky);

@@ -8,11 +8,12 @@
 // Build & run:  ./build/examples/matchmaking_profiles
 
 #include <cstdio>
+#include <vector>
 
 #include "bn/bayes_net.h"
 #include "core/learner.h"
 #include "core/workload.h"
-#include "pdb/query.h"
+#include "pdb/plan.h"
 #include "util/rng.h"
 
 namespace {
@@ -134,17 +135,27 @@ int main() {
   ValueId nw1m = schema.attr(nw).Find("v2");
   ValueId ms = schema.attr(edu).Find("v2");
 
+  // Each query is a plan over the one source, evaluated extensionally:
+  // select-over-scan plans are safe, so every answer is exact.
+  const std::vector<const ProbDatabase*> sources = {&*db};
   Predicate wealthy = Predicate::Eq(inc, inc200).And(Predicate::Eq(nw, nw1m));
+  PlanPtr wealthy_rows = SelectPlan(wealthy, ScanPlan(0));
+  auto q1_count = EvaluateCount(*wealthy_rows, sources);
+  auto q1_exists = EvaluateExists(*wealthy_rows, sources);
+  if (!q1_count.ok() || !q1_exists.ok()) return 1;
   std::printf("Q1: expected number of profiles with top income AND top net"
               " worth: %.1f\n",
-              ExpectedCount(*db, wealthy));
+              q1_count->expected.lo);
   std::printf("    P(at least one such profile) = %.6f\n",
-              ProbExists(*db, wealthy));
+              q1_exists->prob.lo);
 
   Predicate grad = Predicate::Eq(edu, ms);
-  auto count_dist = CountDistribution(*db, grad.And(wealthy));
+  auto q2 = EvaluateCount(*SelectPlan(grad.And(wealthy), ScanPlan(0)), sources);
+  if (!q2.ok() || !q2->has_distribution) return 1;
   double p10 = 0.0;
-  for (size_t k = 10; k < count_dist.size(); ++k) p10 += count_dist[k];
+  for (size_t k = 10; k < q2->distribution.size(); ++k) {
+    p10 += q2->distribution[k];
+  }
   std::printf("Q2: P(>= 10 wealthy graduate-degree profiles) = %.4f\n", p10);
 
   // Ground truth comparison: the BN tells us the true joint probability

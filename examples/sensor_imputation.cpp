@@ -17,7 +17,7 @@
 #include "core/learner.h"
 #include "core/workload.h"
 #include "expfw/metrics.h"
-#include "pdb/query.h"
+#include "pdb/plan.h"
 #include "util/rng.h"
 
 namespace {
@@ -136,12 +136,13 @@ int main() {
 
   AttrId alarm = 0;
   db->schema().FindAttr("alarm", &alarm);
-  Predicate alarm_on = Predicate::Eq(alarm, 1);
+  auto alarms = EvaluateCount(
+      *SelectPlan(Predicate::Eq(alarm, 1), ScanPlan(0)), {&*db});
+  if (!alarms.ok() || !alarms->has_distribution) return 1;
   std::printf(
       "\nalarm analytics over the imputed rows:\n"
       "  expected alarms: %.2f of %zu stations\n"
       "  P(no alarms at all) = %.4f\n",
-      ExpectedCount(*db, alarm_on), db->num_blocks(),
-      CountDistribution(*db, alarm_on)[0]);
+      alarms->expected.lo, db->num_blocks(), alarms->distribution[0]);
   return 0;
 }

@@ -25,9 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -41,6 +39,7 @@ using plan_internal::AltSetMass;
 using plan_internal::Clamp01;
 using plan_internal::KeysIntersect;
 using plan_internal::UnionKeys;
+using plan_internal::ValidateSource;
 
 // Caps on the factored representation. A row past either cap degrades
 // to its lineage summary and interval (sound, just not refinable); the
@@ -266,30 +265,10 @@ class LatticeSearch {
   // Connected components of the shared-block graph over disjuncts,
   // ordered by ascending first disjunct index.
   std::vector<std::vector<size_t>> Components(const WorkDnf& dnf) {
-    std::vector<size_t> parent(dnf.size());
-    std::iota(parent.begin(), parent.end(), 0);
-    std::function<size_t(size_t)> find = [&](size_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    std::unordered_map<uint64_t, size_t> owner;
-    for (size_t i = 0; i < dnf.size(); ++i) {
-      for (uint32_t id : dnf[i]) {
-        auto [it, inserted] = owner.emplace(atoms_.at(id).key, i);
-        if (!inserted) parent[find(i)] = find(it->second);
-      }
-    }
-    std::unordered_map<size_t, size_t> slot;
-    std::vector<std::vector<size_t>> comps;
-    for (size_t i = 0; i < dnf.size(); ++i) {
-      auto [it, inserted] = slot.emplace(find(i), comps.size());
-      if (inserted) comps.emplace_back();
-      comps[it->second].push_back(i);
-    }
-    return comps;
+    return plan_internal::CorrelationComponents(
+        dnf.size(), [&](size_t i, auto&& fn) {
+          for (uint32_t id : dnf[i]) fn(atoms_.at(id).key);
+        });
   }
 
   ProbInterval EvalComponent(const WorkDnf& dnf,
@@ -536,29 +515,11 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
   }
 
   // Correlation components over the members' block-key summaries.
-  std::vector<size_t> parent(members.size());
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::unordered_map<uint64_t, size_t> owner;
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (uint64_t key : members[i]->lineage.blocks) {
-      auto [it, inserted] = owner.emplace(key, i);
-      if (!inserted) parent[find(i)] = find(it->second);
-    }
-  }
-  std::unordered_map<size_t, size_t> slot;
-  std::vector<std::vector<size_t>> comps;
-  for (size_t i = 0; i < members.size(); ++i) {
-    auto [it, inserted] = slot.emplace(find(i), comps.size());
-    if (inserted) comps.emplace_back();
-    comps[it->second].push_back(i);
-  }
+  std::vector<std::vector<size_t>> comps =
+      plan_internal::CorrelationComponents(
+          members.size(), [&](size_t i, auto&& fn) {
+            for (uint64_t key : members[i]->lineage.blocks) fn(key);
+          });
 
   std::vector<PendingComponent> pcs;
   std::vector<const Dnf*> comp_rows;
@@ -654,15 +615,6 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
 // ---------------------------------------------------------------------------
 // The factored evaluator: EvalNode's operators with DNF bookkeeping.
 // ---------------------------------------------------------------------------
-
-Status ValidateSource(size_t source,
-                      const std::vector<const ProbDatabase*>& sources) {
-  if (source >= sources.size() || sources[source] == nullptr) {
-    return Status::InvalidArgument("scan source out of range: " +
-                                   std::to_string(source));
-  }
-  return Status::OK();
-}
 
 class CompiledEval {
  public:

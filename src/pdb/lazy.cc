@@ -2,29 +2,22 @@
 // predicate three-valued on the raw tuple: rows decided true/false by
 // their observed cells alone short-circuit without deriving Δt (counted
 // in short_circuits_). Only genuinely uncertain rows are materialized,
-// memoized per distinct tuple. CountDistribution is the standard
-// Poisson-binomial DP over per-row probabilities.
+// memoized per distinct tuple, through the engine's pooled contexts.
+// CountDistribution is the Poisson-binomial DP over per-row
+// probabilities.
 
 #include "pdb/lazy.h"
 
 #include <unordered_set>
 
+#include "pdb/plan_internal.h"
 #include "pdb/store.h"
 
 namespace mrsl {
 
-LazyDeriver::LazyDeriver(const MrslModel* model, const Relation* rel,
-                         const GibbsOptions& gibbs)
-    : model_(model), rel_(rel), gibbs_(gibbs) {
-  sampler_.emplace(model, gibbs);
-}
-
 LazyDeriver::LazyDeriver(Engine* engine, const Relation* rel,
                          const GibbsOptions& gibbs)
-    : model_(&engine->model()),
-      rel_(rel),
-      gibbs_(gibbs),
-      engine_(engine) {}
+    : engine_(engine), rel_(rel), gibbs_(gibbs) {}
 
 size_t LazyDeriver::SeedFromSnapshot(const StoreSnapshot& snapshot) {
   // ValueIds are only meaningful against the schema that produced them:
@@ -49,14 +42,9 @@ size_t LazyDeriver::SeedFromSnapshot(const StoreSnapshot& snapshot) {
 Result<const JointDist*> LazyDeriver::Materialize(const Tuple& t) {
   auto it = cache_.find(t);
   if (it != cache_.end()) return &it->second;
-  Result<JointDist> dist = [&]() -> Result<JointDist> {
-    if (engine_ != nullptr) {
-      WorkloadOptions wl;
-      wl.gibbs = gibbs_;
-      return engine_->Infer(t, wl);
-    }
-    return sampler_->Infer(t);
-  }();
+  WorkloadOptions wl;
+  wl.gibbs = gibbs_;
+  Result<JointDist> dist = engine_->Infer(t, wl);
   if (!dist.ok()) return dist.status();
   auto [ins, inserted] = cache_.emplace(t, std::move(dist).value());
   (void)inserted;
@@ -65,13 +53,7 @@ Result<const JointDist*> LazyDeriver::Materialize(const Tuple& t) {
 
 Status LazyDeriver::InferPending(const std::vector<Tuple>& pending,
                                  size_t batch_size) {
-  if (engine_ == nullptr || pending.empty()) {
-    for (const Tuple& t : pending) {
-      auto dist = Materialize(t);
-      if (!dist.ok()) return dist.status();
-    }
-    return Status::OK();
-  }
+  if (pending.empty()) return Status::OK();
   WorkloadOptions wl;
   wl.gibbs = gibbs_;
   auto dists = engine_->InferChunked(pending, SamplingMode::kTupleAtATime,
@@ -157,18 +139,14 @@ Result<double> LazyDeriver::ProbExists(const Predicate& pred) {
 
 Result<std::vector<double>> LazyDeriver::CountDistribution(
     const Predicate& pred) {
-  std::vector<double> dist(1, 1.0);
+  std::vector<double> qs;
+  qs.reserve(rel_->num_rows());
   for (size_t r = 0; r < rel_->num_rows(); ++r) {
     auto p = RowProbability(r, pred);
     if (!p.ok()) return p.status();
-    double q = *p;
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
+    qs.push_back(*p);
   }
-  return dist;
+  return plan_internal::PoissonBinomial(qs);
 }
 
 }  // namespace mrsl

@@ -17,13 +17,11 @@
 #define MRSL_PDB_LAZY_H_
 
 #include <cstddef>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/gibbs.h"
-#include "core/model.h"
 #include "pdb/query.h"
 #include "relational/relation.h"
 #include "util/result.h"
@@ -35,15 +33,9 @@ class StoreSnapshot;  // pdb/store.h
 /// Query-driven view over an incomplete relation and an MRSL model.
 class LazyDeriver {
  public:
-  /// `model` and `rel` must outlive the deriver. Inference runs on a
-  /// private sequential sampler.
-  LazyDeriver(const MrslModel* model, const Relation* rel,
-              const GibbsOptions& gibbs);
-
-  /// Engine-backed form: `engine` and `rel` must outlive the deriver.
-  /// Materializations run on the engine's pooled contexts (warm CPD
-  /// caches) and MaterializeUncertain batches them across the engine's
-  /// thread pool.
+  /// `engine` and `rel` must outlive the deriver. Materializations run
+  /// on the engine's pooled contexts (warm CPD caches) and
+  /// MaterializeUncertain batches them across the engine's thread pool.
   LazyDeriver(Engine* engine, const Relation* rel,
               const GibbsOptions& gibbs);
 
@@ -65,10 +57,9 @@ class LazyDeriver {
   /// `pred` is genuinely uncertain, `batch_size` tuples per engine batch
   /// (0 = one batch). Subsequent queries touching those rows are pure
   /// cache lookups. Returns the number of newly materialized tuples.
-  /// Without an engine this degrades to sequential materialization; with
-  /// one, batches run in parallel (the sampled stream may then differ
-  /// from on-demand materialization — both are equally valid estimates,
-  /// and whichever lands in the memo first is served thereafter).
+  /// Batches run in parallel (the sampled stream may differ from
+  /// on-demand materialization — both are equally valid estimates, and
+  /// whichever lands in the memo first is served thereafter).
   Result<size_t> MaterializeUncertain(const Predicate& pred,
                                       size_t batch_size = 0);
 
@@ -94,16 +85,13 @@ class LazyDeriver {
  private:
   Result<const JointDist*> Materialize(const Tuple& t);
 
-  /// Infers Δt for every tuple of `pending` into the memo: one engine
-  /// batch of `batch_size` tuples at a time when an engine backs the
-  /// deriver, sequentially on the private sampler otherwise.
+  /// Infers Δt for every tuple of `pending` into the memo, one engine
+  /// batch of `batch_size` tuples at a time.
   Status InferPending(const std::vector<Tuple>& pending, size_t batch_size);
 
-  const MrslModel* model_;
+  Engine* engine_;
   const Relation* rel_;
   GibbsOptions gibbs_;
-  Engine* engine_ = nullptr;  // pooled/batched inference when set...
-  std::optional<GibbsSampler> sampler_;  // ...private sampler otherwise
   std::unordered_map<Tuple, JointDist, TupleHash> cache_;
   size_t short_circuits_ = 0;
 };

@@ -36,7 +36,9 @@ namespace {
 using plan_internal::AltSetMass;
 using plan_internal::Clamp01;
 using plan_internal::KeysIntersect;
+using plan_internal::PoissonBinomial;
 using plan_internal::UnionKeys;
+using plan_internal::ValidateSource;
 
 // An owned row event (the output of a combination rule).
 struct Event {
@@ -53,47 +55,13 @@ struct EventRef {
   const Lineage* lineage;
 };
 
-// Disjoint-set union over event indices, used to cluster events that
-// share base blocks (the correlation structure).
-class Dsu {
- public:
-  explicit Dsu(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
-
-// Groups `events` into connected components of the shared-block graph,
-// each component listed by ascending first event index (deterministic).
+// Correlation components of `events` (see plan_internal.h).
 std::vector<std::vector<size_t>> CorrelationComponents(
     const std::vector<EventRef>& events) {
-  Dsu dsu(events.size());
-  std::unordered_map<uint64_t, size_t> owner;  // block key -> event index
-  for (size_t i = 0; i < events.size(); ++i) {
-    for (uint64_t key : events[i].lineage->blocks) {
-      auto [it, inserted] = owner.emplace(key, i);
-      if (!inserted) dsu.Union(i, it->second);
-    }
-  }
-  std::unordered_map<size_t, size_t> slot;  // root -> component position
-  std::vector<std::vector<size_t>> components;
-  for (size_t i = 0; i < events.size(); ++i) {
-    size_t root = dsu.Find(i);
-    auto [it, inserted] = slot.emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(i);
-  }
-  return components;
+  return plan_internal::CorrelationComponents(
+      events.size(), [&](size_t i, auto&& fn) {
+        for (uint64_t key : events[i].lineage->blocks) fn(key);
+      });
 }
 
 // OR of all `events`. Exact when the correlation components are each a
@@ -220,15 +188,6 @@ Event ConjoinEvents(const EventRef& a, const EventRef& b,
       std::min(a.prob.hi, b.prob.hi));
   *exact = false;
   return out;
-}
-
-Status ValidateSource(size_t source,
-                      const std::vector<const ProbDatabase*>& sources) {
-  if (source >= sources.size() || sources[source] == nullptr) {
-    return Status::InvalidArgument("scan source out of range: " +
-                                   std::to_string(source));
-  }
-  return Status::OK();
 }
 
 Attribute RenamedAttribute(const Attribute& src, std::string name) {
@@ -1172,16 +1131,8 @@ CountResult CountFromResult(
     bernoullis.push_back(Clamp01(mass));
   }
 
-  std::vector<double> dist(1, 1.0);
-  for (double q : bernoullis) {
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
-  }
   out.has_distribution = true;
-  out.distribution = std::move(dist);
+  out.distribution = PoissonBinomial(bernoullis);
   return out;
 }
 

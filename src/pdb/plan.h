@@ -109,7 +109,7 @@ PlanPtr ProjectPlan(std::vector<AttrId> attrs, PlanPtr child);
 
 /// Equi-join: left.left_attr == right.right_attr; output tuples
 /// concatenate left and right values (right-hand attribute names get a
-/// "_r" suffix on clashes, as EquiJoin does).
+/// "_r" suffix on clashes).
 PlanPtr JoinPlan(PlanPtr left, PlanPtr right, AttrId left_attr,
                  AttrId right_attr);
 

@@ -1,14 +1,9 @@
-// Extensional evaluation on the BID independence structure: within a
-// block alternatives are disjoint (probabilities add), across blocks
-// independent (existence composes as 1 - Π(1 - p)). Predicates are
-// conjunctions of =/!= atoms with a three-valued EvalPartial so callers
-// can decide rows on observed cells alone; Select filters alternatives
-// without renormalizing (mass < 1 means "tuple absent from this world").
+// Predicates are conjunctions of =/!= atoms with a three-valued
+// EvalPartial so callers can decide rows on observed cells alone.
+// SampleWorldChoices draws one possible world per call: each block
+// independently picks an alternative or, with its absent mass, nothing.
 
 #include "pdb/query.h"
-
-#include <algorithm>
-#include <unordered_map>
 
 namespace mrsl {
 
@@ -70,152 +65,6 @@ std::string Predicate::ToString(const Schema& schema) const {
   return out;
 }
 
-ProbDatabase Select(const ProbDatabase& db, const Predicate& pred) {
-  ProbDatabase out(db.schema());
-  for (size_t i = 0; i < db.num_blocks(); ++i) {
-    Block filtered;
-    for (const Alternative& a : db.block(i).alternatives) {
-      if (pred.Eval(a.tuple)) filtered.alternatives.push_back(a);
-    }
-    if (!filtered.alternatives.empty()) {
-      Status st = out.AddBlock(std::move(filtered));
-      (void)st;  // filtering preserves validity
-    }
-  }
-  return out;
-}
-
-std::vector<ProbTuple> ProjectDistinct(const ProbDatabase& db,
-                                       const std::vector<AttrId>& attrs) {
-  // For each projected value combination: per-block probability of
-  // producing it (sum of matching alternatives — disjoint), then across
-  // blocks P(appears) = 1 - Π(1 - p_block).
-  std::unordered_map<Tuple, double, TupleHash> complement;  // Π(1 - p_b)
-  std::vector<Tuple> order;
-
-  std::unordered_map<Tuple, double, TupleHash> per_block;
-  for (size_t i = 0; i < db.num_blocks(); ++i) {
-    per_block.clear();
-    for (const Alternative& a : db.block(i).alternatives) {
-      Tuple proj(attrs.size());
-      for (size_t k = 0; k < attrs.size(); ++k) {
-        proj.set_value(static_cast<AttrId>(k), a.tuple.value(attrs[k]));
-      }
-      per_block[proj] += a.prob;
-    }
-    for (const auto& [proj, p] : per_block) {
-      auto [it, inserted] = complement.emplace(proj, 1.0);
-      if (inserted) order.push_back(proj);
-      it->second *= (1.0 - std::min(p, 1.0));
-    }
-  }
-
-  std::vector<ProbTuple> out;
-  out.reserve(order.size());
-  for (const Tuple& proj : order) {
-    out.push_back(ProbTuple{proj, 1.0 - complement[proj]});
-  }
-  return out;
-}
-
-namespace {
-
-// Per-block probability that its chosen alternative satisfies pred.
-std::vector<double> BlockSatisfaction(const ProbDatabase& db,
-                                      const Predicate& pred) {
-  std::vector<double> qs;
-  qs.reserve(db.num_blocks());
-  for (size_t i = 0; i < db.num_blocks(); ++i) {
-    double q = 0.0;
-    for (const Alternative& a : db.block(i).alternatives) {
-      if (pred.Eval(a.tuple)) q += a.prob;
-    }
-    qs.push_back(std::min(q, 1.0));
-  }
-  return qs;
-}
-
-}  // namespace
-
-double ProbExists(const ProbDatabase& db, const Predicate& pred) {
-  double none = 1.0;
-  for (double q : BlockSatisfaction(db, pred)) none *= (1.0 - q);
-  return 1.0 - none;
-}
-
-double ExpectedCount(const ProbDatabase& db, const Predicate& pred) {
-  double total = 0.0;
-  for (double q : BlockSatisfaction(db, pred)) total += q;
-  return total;
-}
-
-std::vector<double> CountDistribution(const ProbDatabase& db,
-                                      const Predicate& pred) {
-  // Poisson-binomial DP: dist[k] after processing blocks 0..i.
-  std::vector<double> dist(1, 1.0);
-  for (double q : BlockSatisfaction(db, pred)) {
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
-  }
-  return dist;
-}
-
-Result<JoinResult> EquiJoin(const ProbDatabase& left,
-                            const ProbDatabase& right, AttrId left_attr,
-                            AttrId right_attr) {
-  if (left_attr >= left.schema().num_attrs() ||
-      right_attr >= right.schema().num_attrs()) {
-    return Status::InvalidArgument("join attribute out of range");
-  }
-  // Concatenated schema with right-hand names suffixed to avoid clashes.
-  std::vector<Attribute> attrs;
-  for (AttrId a = 0; a < left.schema().num_attrs(); ++a) {
-    attrs.push_back(left.schema().attr(a));
-  }
-  for (AttrId a = 0; a < right.schema().num_attrs(); ++a) {
-    const Attribute& src = right.schema().attr(a);
-    std::vector<std::string> labels;
-    for (size_t v = 0; v < src.cardinality(); ++v) {
-      labels.push_back(src.label(static_cast<ValueId>(v)));
-    }
-    attrs.emplace_back(src.name() + "_r", std::move(labels));
-  }
-  auto schema = Schema::Create(std::move(attrs));
-  if (!schema.ok()) return schema.status();
-
-  // Hash the right side on the join value.
-  std::unordered_map<ValueId, std::vector<std::pair<const Tuple*, double>>>
-      right_index;
-  for (size_t i = 0; i < right.num_blocks(); ++i) {
-    for (const Alternative& a : right.block(i).alternatives) {
-      right_index[a.tuple.value(right_attr)].emplace_back(&a.tuple, a.prob);
-    }
-  }
-
-  JoinResult result;
-  result.schema = std::move(schema).value();
-  const size_t ln = left.schema().num_attrs();
-  const size_t rn = right.schema().num_attrs();
-  for (size_t i = 0; i < left.num_blocks(); ++i) {
-    for (const Alternative& la : left.block(i).alternatives) {
-      auto it = right_index.find(la.tuple.value(left_attr));
-      if (it == right_index.end()) continue;
-      for (const auto& [rt, rp] : it->second) {
-        Tuple joined(ln + rn);
-        for (AttrId a = 0; a < ln; ++a) joined.set_value(a, la.tuple.value(a));
-        for (AttrId a = 0; a < rn; ++a) {
-          joined.set_value(static_cast<AttrId>(ln + a), rt->value(a));
-        }
-        result.tuples.push_back(ProbTuple{std::move(joined), la.prob * rp});
-      }
-    }
-  }
-  return result;
-}
-
 void SampleWorldChoices(const ProbDatabase& db, Rng* rng,
                         std::vector<int32_t>* choices) {
   choices->resize(db.num_blocks());
@@ -234,28 +83,6 @@ void SampleWorldChoices(const ProbDatabase& db, Rng* rng,
                         ? static_cast<int32_t>(pick)
                         : kNoAlternative;
   }
-}
-
-std::vector<double> MonteCarloCountDistribution(const ProbDatabase& db,
-                                                const Predicate& pred,
-                                                size_t trials, Rng* rng) {
-  std::vector<double> counts(db.num_blocks() + 1, 0.0);
-  std::vector<int32_t> choices;
-  for (size_t t = 0; t < trials; ++t) {
-    SampleWorldChoices(db, rng, &choices);
-    size_t count = 0;
-    for (size_t i = 0; i < db.num_blocks(); ++i) {
-      int32_t pick = choices[i];
-      if (pick != kNoAlternative &&
-          pred.Eval(db.block(i).alternatives[static_cast<size_t>(pick)]
-                        .tuple)) {
-        ++count;
-      }
-    }
-    counts[count] += 1.0;
-  }
-  for (double& c : counts) c /= static_cast<double>(trials);
-  return counts;
 }
 
 }  // namespace mrsl

@@ -1,21 +1,17 @@
-// Query processing over BID probabilistic databases.
-//
-// Extensional evaluation exploiting the model's independence structure:
-// alternatives within a block are mutually exclusive (probabilities add),
-// distinct blocks are independent (probabilities multiply). A Monte-Carlo
-// evaluator over sampled possible worlds serves as the differential-
-// testing oracle for all extensional operators.
+// Predicates and possible-world sampling over BID probabilistic
+// databases: the building blocks of the plan algebra. Queries go
+// through pdb/plan.h, which evaluates Scan/Select/Project/Join plans and
+// their Exists/Count aggregates extensionally and differential-tests
+// them against MonteCarloPlanOracle, built on SampleWorldChoices below.
 
 #ifndef MRSL_PDB_QUERY_H_
 #define MRSL_PDB_QUERY_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "pdb/prob_database.h"
-#include "util/result.h"
 #include "util/rng.h"
 
 namespace mrsl {
@@ -72,58 +68,15 @@ struct ProbTuple {
   double prob = 0.0;
 };
 
-/// σ_pred: keeps only alternatives satisfying `pred` (block structure and
-/// alternative probabilities preserved, so selection composes).
-ProbDatabase Select(const ProbDatabase& db, const Predicate& pred);
-
-/// π_attrs with duplicate elimination: distinct projected tuples with the
-/// exact marginal probability of appearing in a world. Within a block
-/// probabilities add (disjointness); across blocks the complement
-/// probabilities multiply (independence).
-std::vector<ProbTuple> ProjectDistinct(const ProbDatabase& db,
-                                       const std::vector<AttrId>& attrs);
-
-/// Marginal probability that at least one tuple satisfies `pred`.
-double ProbExists(const ProbDatabase& db, const Predicate& pred);
-
-/// Expected number of tuples satisfying `pred`.
-double ExpectedCount(const ProbDatabase& db, const Predicate& pred);
-
-/// Exact distribution of COUNT(σ_pred): per-block satisfaction is an
-/// independent Bernoulli, so the count is Poisson-binomial; computed by
-/// dynamic programming. Entry k = P(count = k).
-std::vector<double> CountDistribution(const ProbDatabase& db,
-                                      const Predicate& pred);
-
-/// Equi-join of two independent BID databases on left.attr == right.attr.
-/// Answer tuples concatenate left and right values; probability is the
-/// product of the two alternatives' marginals. Returns pairs of matching
-/// alternatives with probabilities (duplicates possible across block
-/// pairs; callers may aggregate).
-struct JoinResult {
-  Schema schema;                 // concatenated schema
-  std::vector<ProbTuple> tuples;
-};
-Result<JoinResult> EquiJoin(const ProbDatabase& left,
-                            const ProbDatabase& right, AttrId left_attr,
-                            AttrId right_attr);
-
 /// Sentinel world choice: the block contributes no tuple to the world.
 inline constexpr int32_t kNoAlternative = -1;
 
 /// Samples one possible world of `db`: per block, the index of the
 /// chosen alternative, or kNoAlternative with the block's (clamped)
 /// absent mass. `choices` is resized to db.num_blocks(). This is the
-/// shared sampling primitive behind MonteCarloCountDistribution and the
-/// plan-generic oracle (pdb/plan.h).
+/// sampling primitive behind MonteCarloPlanOracle (pdb/plan.h).
 void SampleWorldChoices(const ProbDatabase& db, Rng* rng,
                         std::vector<int32_t>* choices);
-
-/// Monte-Carlo oracle: samples `trials` possible worlds and returns the
-/// empirical distribution of COUNT(σ_pred) (index k = P(count = k)).
-std::vector<double> MonteCarloCountDistribution(const ProbDatabase& db,
-                                                const Predicate& pred,
-                                                size_t trials, Rng* rng);
 
 }  // namespace mrsl
 

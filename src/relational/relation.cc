@@ -3,7 +3,8 @@
 // and callers that mutate tuples never see stale indices. FromCsv grows
 // each attribute's dictionary in encounter order (FindOrAdd), which makes
 // ValueIds — and therefore learned models — depend on row order; "?" and
-// the empty string both decode to kMissingValue.
+// the empty string both decode to kMissingValue. FromCsv(text, schema)
+// encodes against a fixed schema instead, so ValueIds match a model's.
 
 #include "relational/relation.h"
 
@@ -60,19 +61,40 @@ double Relation::Support(const Tuple& t) const {
   return static_cast<double>(matches) / static_cast<double>(complete);
 }
 
-Result<Relation> Relation::FromCsv(std::string_view text) {
+namespace {
+
+// Shared by both FromCsv forms. With `fixed` null the schema grows from
+// the header and the cells; otherwise the header must name fixed's
+// attributes in order and every label must already be in its domain.
+Result<Relation> ParseCsvRelation(std::string_view text,
+                                  const Schema* fixed) {
   auto parsed = ParseCsv(text);
   if (!parsed.ok()) return parsed.status();
   const auto& rows = parsed.value();
   if (rows.empty()) return Status::InvalidArgument("CSV has no header row");
 
-  std::vector<Attribute> attrs;
-  attrs.reserve(rows[0].size());
-  for (const auto& name : rows[0]) attrs.emplace_back(name);
-  auto schema = Schema::Create(std::move(attrs));
-  if (!schema.ok()) return schema.status();
+  Relation rel;
+  if (fixed == nullptr) {
+    std::vector<Attribute> attrs;
+    attrs.reserve(rows[0].size());
+    for (const auto& name : rows[0]) attrs.emplace_back(name);
+    auto schema = Schema::Create(std::move(attrs));
+    if (!schema.ok()) return schema.status();
+    rel = Relation(std::move(schema).value());
+  } else {
+    bool header_ok = rows[0].size() == fixed->num_attrs();
+    std::string want;
+    for (AttrId a = 0; a < fixed->num_attrs(); ++a) {
+      if (a != 0) want += ",";
+      want += fixed->attr(a).name();
+      header_ok = header_ok && rows[0][a] == fixed->attr(a).name();
+    }
+    if (!header_ok) {
+      return Status::InvalidArgument("CSV header must be " + want);
+    }
+    rel = Relation(*fixed);
+  }
 
-  Relation rel(std::move(schema).value());
   for (size_t r = 1; r < rows.size(); ++r) {
     if (rows[r].size() != rel.schema().num_attrs()) {
       return Status::Corruption("row " + std::to_string(r) + " has " +
@@ -84,13 +106,29 @@ Result<Relation> Relation::FromCsv(std::string_view text) {
     for (size_t c = 0; c < rows[r].size(); ++c) {
       const std::string& cell = rows[r][c];
       if (cell == "?" || cell.empty()) continue;
-      t.set_value(static_cast<AttrId>(c),
-                  rel.mutable_schema().attr(static_cast<AttrId>(c))
-                      .FindOrAdd(cell));
+      Attribute& attr = rel.mutable_schema().attr(static_cast<AttrId>(c));
+      ValueId v = fixed == nullptr ? attr.FindOrAdd(cell) : attr.Find(cell);
+      if (v == kMissingValue) {
+        return Status::InvalidArgument("row " + std::to_string(r) +
+                                       ": unknown value '" + cell +
+                                       "' for attribute " + attr.name());
+      }
+      t.set_value(static_cast<AttrId>(c), v);
     }
     MRSL_RETURN_IF_ERROR(rel.Append(std::move(t)));
   }
   return rel;
+}
+
+}  // namespace
+
+Result<Relation> Relation::FromCsv(std::string_view text) {
+  return ParseCsvRelation(text, nullptr);
+}
+
+Result<Relation> Relation::FromCsv(std::string_view text,
+                                   const Schema& schema) {
+  return ParseCsvRelation(text, &schema);
 }
 
 std::string Relation::ToCsv() const {

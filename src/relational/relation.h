@@ -51,6 +51,14 @@ class Relation {
   /// first-appearance order.
   static Result<Relation> FromCsv(std::string_view text);
 
+  /// Parses a CSV document against a fixed `schema` (e.g. a learned
+  /// model's), so ValueIds agree with it whatever the row order. The
+  /// header must list schema's attributes in order; a label outside an
+  /// attribute's domain is an error naming both. "?" (or empty string)
+  /// = missing.
+  static Result<Relation> FromCsv(std::string_view text,
+                                  const Schema& schema);
+
   /// Serializes to CSV with "?" for missing cells.
   std::string ToCsv() const;
 

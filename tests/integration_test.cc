@@ -9,7 +9,7 @@
 #include "core/learner.h"
 #include "core/workload.h"
 #include "expfw/runner.h"
-#include "pdb/query.h"
+#include "pdb/plan.h"
 
 namespace mrsl {
 namespace {
@@ -69,20 +69,29 @@ TEST(IntegrationTest, FullPipelineDerivesQueryableDatabase) {
     EXPECT_NEAR(db->block(b).TotalMass(), 1.0, 1e-6);
   }
 
-  // 5) Query it: expected count is consistent with per-block marginals,
-  // and the exact count distribution matches Monte Carlo.
-  Predicate pred = Predicate::Eq(0, 0);
-  double expected = ExpectedCount(*db, pred);
+  // 5) Query it through the plan algebra: the expected count is
+  // consistent with the exact count distribution, and both match the
+  // Monte-Carlo possible-world oracle.
+  PlanPtr plan = SelectPlan(Predicate::Eq(0, 0), ScanPlan(0));
+  auto count = EvaluateCount(*plan, {&*db});
+  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(count->expected.exact());
+  ASSERT_TRUE(count->has_distribution);
+  double expected = count->expected.lo;
   EXPECT_GT(expected, 0.0);
   EXPECT_LT(expected, static_cast<double>(db->num_blocks()));
-  auto count_dist = CountDistribution(*db, pred);
-  Rng mc_rng(5);
-  auto mc = MonteCarloCountDistribution(*db, pred, 50000, &mc_rng);
+  OracleOptions oo;
+  oo.trials = 50000;
+  oo.seed = 5;
+  auto mc = MonteCarloPlanOracle(*plan, {&*db}, oo);
+  ASSERT_TRUE(mc.ok());
   double mean_exact = 0.0;
   double mean_mc = 0.0;
-  for (size_t k = 0; k < count_dist.size(); ++k) {
-    mean_exact += static_cast<double>(k) * count_dist[k];
-    mean_mc += static_cast<double>(k) * mc[k];
+  for (size_t k = 0; k < count->distribution.size(); ++k) {
+    mean_exact += static_cast<double>(k) * count->distribution[k];
+  }
+  for (size_t k = 0; k < mc->count_distribution.size(); ++k) {
+    mean_mc += static_cast<double>(k) * mc->count_distribution[k];
   }
   EXPECT_NEAR(mean_exact, expected, 1e-9);
   EXPECT_NEAR(mean_mc, expected, 0.5);

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
 
 #include "bn/bayes_net.h"
 #include "core/learner.h"
 #include "core/workload.h"
+#include "pdb/plan.h"
 #include "pdb/prob_database.h"
 
 namespace mrsl {
@@ -36,6 +38,7 @@ class LazyTest : public ::testing::Test {
     auto model = LearnModel(full, lo);
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    engine_ = std::make_unique<Engine>(&model_);
   }
 
   GibbsOptions GOpts() {
@@ -49,6 +52,7 @@ class LazyTest : public ::testing::Test {
   BayesNet bn_;
   Relation rel_;
   MrslModel model_;
+  std::unique_ptr<Engine> engine_;
 };
 
 TEST_F(LazyTest, CompleteRowsNeedNoInference) {
@@ -58,7 +62,7 @@ TEST_F(LazyTest, CompleteRowsNeedNoInference) {
       ASSERT_TRUE(complete_only.Append(t).ok());
     }
   }
-  LazyDeriver lazy(&model_, &complete_only, GOpts());
+  LazyDeriver lazy(engine_.get(), &complete_only, GOpts());
   auto count = lazy.ExpectedCount(Predicate::Eq(0, 0));
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(lazy.materialized(), 0u);
@@ -71,7 +75,7 @@ TEST_F(LazyTest, CompleteRowsNeedNoInference) {
 TEST_F(LazyTest, ShortCircuitsDecidedIncompleteRows) {
   // Predicate touches only attribute 0; rows missing other attributes
   // are decided without inference.
-  LazyDeriver lazy(&model_, &rel_, GOpts());
+  LazyDeriver lazy(engine_.get(), &rel_, GOpts());
   Predicate pred = Predicate::Eq(0, 0);
   auto count = lazy.ExpectedCount(pred);
   ASSERT_TRUE(count.ok());
@@ -104,25 +108,34 @@ TEST_F(LazyTest, MatchesEagerDerivation) {
   auto db = ProbDatabase::FromInference(rel_, *dists);
   ASSERT_TRUE(db.ok());
 
-  LazyDeriver lazy(&model_, &rel_, GOpts());
+  LazyDeriver lazy(engine_.get(), &rel_, GOpts());
   for (const Predicate& pred :
        {Predicate::Eq(0, 0), Predicate::Eq(2, 1),
         Predicate::Eq(1, 0).And(Predicate::Eq(3, 1))}) {
+    // The eager side answers through the plan algebra.
+    PlanPtr plan = SelectPlan(pred, ScanPlan(0));
+    auto eager_count = EvaluateCount(*plan, {&*db});
+    auto eager_exists = EvaluateExists(*plan, {&*db});
+    ASSERT_TRUE(eager_count.ok());
+    ASSERT_TRUE(eager_exists.ok());
+    ASSERT_TRUE(eager_count->expected.exact());
+    ASSERT_TRUE(eager_exists->prob.exact());
+
     auto lazy_count = lazy.ExpectedCount(pred);
     ASSERT_TRUE(lazy_count.ok());
-    double eager_count = ExpectedCount(*db, pred);
     // Both estimates are Monte-Carlo with modest N; they agree loosely
     // per-query and exactly on decided rows.
-    EXPECT_NEAR(*lazy_count, eager_count, rel_.num_rows() * 0.02);
+    EXPECT_NEAR(*lazy_count, eager_count->expected.lo,
+                rel_.num_rows() * 0.02);
 
     auto lazy_exists = lazy.ProbExists(pred);
     ASSERT_TRUE(lazy_exists.ok());
-    EXPECT_NEAR(*lazy_exists, ProbExists(*db, pred), 0.1);
+    EXPECT_NEAR(*lazy_exists, eager_exists->prob.lo, 0.1);
   }
 }
 
 TEST_F(LazyTest, CountDistributionIsADistribution) {
-  LazyDeriver lazy(&model_, &rel_, GOpts());
+  LazyDeriver lazy(engine_.get(), &rel_, GOpts());
   auto dist = lazy.CountDistribution(Predicate::Eq(0, 1));
   ASSERT_TRUE(dist.ok());
   double sum = 0.0;
@@ -142,7 +155,7 @@ TEST_F(LazyTest, CountDistributionIsADistribution) {
 }
 
 TEST_F(LazyTest, MaterializationIsCachedAcrossQueries) {
-  LazyDeriver lazy(&model_, &rel_, GOpts());
+  LazyDeriver lazy(engine_.get(), &rel_, GOpts());
   ASSERT_TRUE(lazy.ExpectedCount(Predicate::Eq(0, 0)).ok());
   size_t after_first = lazy.materialized();
   // Same predicate again: no new materializations.
@@ -154,7 +167,7 @@ TEST_F(LazyTest, MaterializationIsCachedAcrossQueries) {
 }
 
 TEST_F(LazyTest, RowProbabilityValidatesRange) {
-  LazyDeriver lazy(&model_, &rel_, GOpts());
+  LazyDeriver lazy(engine_.get(), &rel_, GOpts());
   EXPECT_FALSE(lazy.RowProbability(rel_.num_rows(), Predicate()).ok());
 }
 

@@ -12,9 +12,11 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <set>
 
 #include "oracle_harness.h"
 #include "paper_example.h"
+#include "pdb/compiler.h"
 #include "pdb/query.h"
 #include "util/rng.h"
 
@@ -112,25 +114,28 @@ TEST(PlanTest, ProjectIndependentUnionAcrossBlocks) {
   EXPECT_NEAR(by_value[1], 0.75, 1e-12);
 }
 
-TEST(PlanTest, ProjectMatchesProjectDistinct) {
-  // The plan operator agrees with the standalone ProjectDistinct on a
-  // single-relation projection (both exact here).
+TEST(PlanTest, ProjectMatchesEnumeration) {
+  // Every distinct projected value carries its exact appearance
+  // probability, and every value some world produces is present.
   ProbDatabase db = SmallDb();
-  auto result = EvaluatePlan(*ProjectPlan({1}, ScanPlan(0)), {&db});
+  auto plan = ProjectPlan({1}, ScanPlan(0));
+  auto result = EvaluatePlan(*plan, {&db});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->safe);
-  auto expected = ProjectDistinct(db, {1});
-  ASSERT_EQ(result->rows.size(), expected.size());
-  std::map<ValueId, double> plan_probs;
-  std::map<ValueId, double> query_probs;
+  std::map<ValueId, double> truth;  // value -> P(it appears)
+  ForEachWorldChoices(db, [&](const std::vector<int32_t>& choices,
+                              double p) {
+    auto bag = EvaluatePlanInWorld(*plan, {&db}, {choices});
+    ASSERT_TRUE(bag.ok());
+    std::set<ValueId> present;
+    for (const Tuple& t : *bag) present.insert(t.value(0));
+    for (ValueId v : present) truth[v] += p;
+  });
+  ASSERT_EQ(result->rows.size(), truth.size());
   for (const PlanRow& row : result->rows) {
-    plan_probs[row.tuple.value(0)] = row.prob.lo;
-  }
-  for (const ProbTuple& pt : expected) {
-    query_probs[pt.tuple.value(0)] = pt.prob;
-  }
-  for (const auto& [v, p] : query_probs) {
-    EXPECT_NEAR(plan_probs[v], p, 1e-12) << "value " << v;
+    EXPECT_TRUE(row.prob.exact());
+    EXPECT_NEAR(row.prob.lo, truth[row.tuple.value(0)], 1e-12)
+        << row.tuple.ToString(result->schema);
   }
 }
 
@@ -245,28 +250,55 @@ TEST(PlanTest, ExistsMatchesEnumeration) {
     ASSERT_TRUE(exists.ok());
     EXPECT_TRUE(exists->safe);
     EXPECT_TRUE(exists->prob.exact());
-    // The legacy single-relation evaluator is the reference.
-    EXPECT_NEAR(exists->prob.lo, ProbExists(db, pred), 1e-12);
+    double truth = 0.0;
+    ForEachWorldChoices(db, [&](const std::vector<int32_t>& choices,
+                                double p) {
+      auto bag = EvaluatePlanInWorld(*plan, {&db}, {choices});
+      ASSERT_TRUE(bag.ok());
+      if (!bag->empty()) truth += p;
+    });
+    EXPECT_NEAR(exists->prob.lo, truth, 1e-12);
   }
 }
 
-TEST(PlanTest, CountDistributionMatchesLegacyEvaluator) {
+TEST(PlanTest, CountDistributionMatchesEnumeration) {
   ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);  // nw=500K
-  auto count = EvaluateCount(*SelectPlan(pred, ScanPlan(0)), {&db});
-  ASSERT_TRUE(count.ok());
-  EXPECT_TRUE(count->safe);
-  EXPECT_TRUE(count->expected.exact());
-  EXPECT_NEAR(count->expected.lo, ExpectedCount(db, pred), 1e-12);
-  ASSERT_TRUE(count->has_distribution);
-  auto expected = CountDistribution(db, pred);
-  // The plan DP only emits Bernoullis for blocks that still have rows,
-  // so its distribution may be shorter; compare entrywise.
-  for (size_t k = 0; k < expected.size(); ++k) {
-    double got = k < count->distribution.size() ? count->distribution[k]
-                                                : 0.0;
-    EXPECT_NEAR(got, expected[k], 1e-12) << "count=" << k;
+  Predicate inc100 = Predicate::Eq(0, 1);
+  Predicate nw500 = Predicate::Eq(1, 1);
+  // A single select, and the same conjunction as stacked selects and
+  // as one select.
+  std::vector<CountResult> counts;
+  for (const PlanPtr& plan :
+       {SelectPlan(nw500, ScanPlan(0)),
+        SelectPlan(nw500, SelectPlan(inc100, ScanPlan(0))),
+        SelectPlan(inc100.And(nw500), ScanPlan(0))}) {
+    auto count = EvaluateCount(*plan, {&db});
+    ASSERT_TRUE(count.ok());
+    EXPECT_TRUE(count->safe);
+    EXPECT_TRUE(count->expected.exact());
+    ASSERT_TRUE(count->has_distribution);
+    std::vector<double> truth(db.num_blocks() + 1, 0.0);
+    double truth_mean = 0.0;
+    ForEachWorldChoices(db, [&](const std::vector<int32_t>& choices,
+                                double p) {
+      auto bag = EvaluatePlanInWorld(*plan, {&db}, {choices});
+      ASSERT_TRUE(bag.ok());
+      truth[bag->size()] += p;
+      truth_mean += p * static_cast<double>(bag->size());
+    });
+    EXPECT_NEAR(count->expected.lo, truth_mean, 1e-12);
+    // The plan DP only emits Bernoullis for blocks that still have rows,
+    // so its distribution may be shorter; compare entrywise.
+    for (size_t k = 0; k < truth.size(); ++k) {
+      double got = k < count->distribution.size() ? count->distribution[k]
+                                                  : 0.0;
+      EXPECT_NEAR(got, truth[k], 1e-12) << "count=" << k;
+    }
+    counts.push_back(*count);
   }
+  // Selection composes: the stacked selects equal the conjunction.
+  EXPECT_EQ(counts[1].expected.lo, counts[2].expected.lo);
+  EXPECT_EQ(counts[1].distribution, counts[2].distribution);
 }
 
 TEST(PlanTest, CountExpectationExactEvenOnUnsafePlans) {
@@ -639,6 +671,17 @@ TEST(PlanOracleTest, ValidatesInput) {
   EXPECT_FALSE(PlanOutputSchema(*bad_pred, {&db}).ok());
   EXPECT_FALSE(MonteCarloPlanOracle(*bad_pred, {&db}, OracleOptions()).ok());
   EXPECT_FALSE(EvaluatePlan(*bad_pred, {&db}).ok());
+  // So must a join attribute outside either child's schema, on every
+  // evaluation path.
+  for (const PlanPtr& bad_join : {JoinPlan(ScanPlan(0), ScanPlan(0), 7, 0),
+                                  JoinPlan(ScanPlan(0), ScanPlan(0), 0, 7)}) {
+    EXPECT_FALSE(PlanOutputSchema(*bad_join, {&db}).ok());
+    EXPECT_FALSE(EvaluatePlan(*bad_join, {&db}).ok());
+    EXPECT_FALSE(EvaluatePlanRowwise(*bad_join, {&db}).ok());
+    EXPECT_FALSE(CompileQuery(*bad_join, {&db}).ok());
+    EXPECT_FALSE(
+        MonteCarloPlanOracle(*bad_join, {&db}, OracleOptions()).ok());
+  }
   // EvaluatePlanInWorld checks choice-vector shape.
   EXPECT_FALSE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, {}).ok());
   std::vector<std::vector<int32_t>> bad = {{0}};

@@ -1,13 +1,10 @@
-// Tests for query processing over BID databases: extensional operators
-// checked against exact possible-world enumeration and the Monte-Carlo
-// oracle.
+// Tests for the predicate building block of the plan algebra: two- and
+// three-valued evaluation, touched attributes, and rendering. The query
+// operators themselves are tested in pdb_plan_test.
 
 #include "pdb/query.h"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <map>
 
 #include "util/rng.h"
 
@@ -19,23 +16,6 @@ Schema TwoAttrSchema() {
       {Attribute("inc", {"50K", "100K"}), Attribute("nw", {"100K", "500K"})});
   EXPECT_TRUE(s.ok());
   return std::move(s).value();
-}
-
-// A 3-block database used across the tests.
-ProbDatabase SmallDb() {
-  ProbDatabase db(TwoAttrSchema());
-  Block b1;  // certain
-  b1.alternatives.push_back({Tuple({1, 1}), 1.0});
-  EXPECT_TRUE(db.AddBlock(b1).ok());
-  Block b2;
-  b2.alternatives.push_back({Tuple({0, 0}), 0.3});
-  b2.alternatives.push_back({Tuple({1, 0}), 0.7});
-  EXPECT_TRUE(db.AddBlock(b2).ok());
-  Block b3;
-  b3.alternatives.push_back({Tuple({0, 1}), 0.5});
-  b3.alternatives.push_back({Tuple({1, 1}), 0.4});  // mass 0.9
-  EXPECT_TRUE(db.AddBlock(b3).ok());
-  return db;
 }
 
 TEST(PredicateTest, EvalAtoms) {
@@ -94,186 +74,6 @@ TEST(PredicateTest, ToString) {
   Predicate p = Predicate::Eq(0, 1).And(Predicate::Ne(1, 0));
   EXPECT_EQ(p.ToString(s), "inc=100K AND nw!=100K");
   EXPECT_EQ(Predicate().ToString(s), "TRUE");
-}
-
-TEST(QueryTest, SelectKeepsMatchingAlternatives) {
-  ProbDatabase db = SmallDb();
-  ProbDatabase sel = Select(db, Predicate::Eq(0, 1));  // inc=100K
-  // Block 1 survives fully, block 2 keeps only its second alternative,
-  // block 3 keeps its second alternative.
-  EXPECT_EQ(sel.num_blocks(), 3u);
-  EXPECT_EQ(sel.block(1).alternatives.size(), 1u);
-  EXPECT_DOUBLE_EQ(sel.block(1).alternatives[0].prob, 0.7);
-}
-
-TEST(QueryTest, ExpectedCountMatchesWorldEnumeration) {
-  ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);  // nw=500K
-  double expected = ExpectedCount(db, pred);
-
-  double brute = 0.0;
-  ASSERT_TRUE(db.ForEachWorld(1000,
-                              [&](const std::vector<const Tuple*>& world,
-                                  double p) {
-                                size_t count = 0;
-                                for (const Tuple* t : world) {
-                                  if (pred.Eval(*t)) ++count;
-                                }
-                                brute += p * static_cast<double>(count);
-                              })
-                  .ok());
-  EXPECT_NEAR(expected, brute, 1e-12);
-}
-
-TEST(QueryTest, ProbExistsMatchesWorldEnumeration) {
-  ProbDatabase db = SmallDb();
-  for (const Predicate& pred :
-       {Predicate::Eq(0, 0), Predicate::Eq(1, 1),
-        Predicate::Eq(0, 1).And(Predicate::Eq(1, 0))}) {
-    double exists = ProbExists(db, pred);
-    double brute = 0.0;
-    ASSERT_TRUE(db.ForEachWorld(1000,
-                                [&](const std::vector<const Tuple*>& world,
-                                    double p) {
-                                  for (const Tuple* t : world) {
-                                    if (pred.Eval(*t)) {
-                                      brute += p;
-                                      return;
-                                    }
-                                  }
-                                })
-                    .ok());
-    EXPECT_NEAR(exists, brute, 1e-12);
-  }
-}
-
-TEST(QueryTest, CountDistributionMatchesWorldEnumeration) {
-  ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);
-  auto dist = CountDistribution(db, pred);
-
-  std::vector<double> brute(db.num_blocks() + 1, 0.0);
-  ASSERT_TRUE(db.ForEachWorld(1000,
-                              [&](const std::vector<const Tuple*>& world,
-                                  double p) {
-                                size_t count = 0;
-                                for (const Tuple* t : world) {
-                                  if (pred.Eval(*t)) ++count;
-                                }
-                                brute[count] += p;
-                              })
-                  .ok());
-  ASSERT_EQ(dist.size(), brute.size());
-  for (size_t k = 0; k < dist.size(); ++k) {
-    EXPECT_NEAR(dist[k], brute[k], 1e-12) << "count=" << k;
-  }
-  // It is a distribution.
-  double sum = 0.0;
-  for (double p : dist) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(QueryTest, CountDistributionMatchesMonteCarlo) {
-  ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(0, 1);
-  auto exact = CountDistribution(db, pred);
-  Rng rng(4711);
-  auto mc = MonteCarloCountDistribution(db, pred, 200000, &rng);
-  ASSERT_EQ(exact.size(), mc.size());
-  for (size_t k = 0; k < exact.size(); ++k) {
-    EXPECT_NEAR(exact[k], mc[k], 0.01) << "count=" << k;
-  }
-}
-
-TEST(QueryTest, ProjectDistinctDisjointWithinBlock) {
-  // One block with two alternatives projecting to the same value: their
-  // probabilities add (mutually exclusive).
-  ProbDatabase db(TwoAttrSchema());
-  Block b;
-  b.alternatives.push_back({Tuple({0, 0}), 0.3});
-  b.alternatives.push_back({Tuple({0, 1}), 0.4});
-  ASSERT_TRUE(db.AddBlock(b).ok());
-  auto proj = ProjectDistinct(db, {0});
-  ASSERT_EQ(proj.size(), 1u);
-  EXPECT_NEAR(proj[0].prob, 0.7, 1e-12);
-}
-
-TEST(QueryTest, ProjectDistinctIndependentAcrossBlocks) {
-  // Two blocks each projecting to inc=50K with prob 0.5:
-  // P(appears) = 1 - 0.5 * 0.5 = 0.75.
-  ProbDatabase db(TwoAttrSchema());
-  for (int i = 0; i < 2; ++i) {
-    Block b;
-    b.alternatives.push_back({Tuple({0, 0}), 0.5});
-    b.alternatives.push_back({Tuple({1, 0}), 0.5});
-    ASSERT_TRUE(db.AddBlock(b).ok());
-  }
-  auto proj = ProjectDistinct(db, {0});
-  std::map<ValueId, double> by_value;
-  for (const auto& pt : proj) by_value[pt.tuple.value(0)] = pt.prob;
-  EXPECT_NEAR(by_value[0], 0.75, 1e-12);
-  EXPECT_NEAR(by_value[1], 0.75, 1e-12);
-}
-
-TEST(QueryTest, ProjectDistinctMatchesWorldEnumeration) {
-  ProbDatabase db = SmallDb();
-  auto proj = ProjectDistinct(db, {1});  // project onto nw
-  for (const auto& pt : proj) {
-    ValueId v = pt.tuple.value(0);
-    double brute = 0.0;
-    ASSERT_TRUE(db.ForEachWorld(1000,
-                                [&](const std::vector<const Tuple*>& world,
-                                    double p) {
-                                  for (const Tuple* t : world) {
-                                    if (t->value(1) == v) {
-                                      brute += p;
-                                      return;
-                                    }
-                                  }
-                                })
-                    .ok());
-    EXPECT_NEAR(pt.prob, brute, 1e-12);
-  }
-}
-
-TEST(QueryTest, EquiJoinProbabilitiesMultiply) {
-  ProbDatabase left(TwoAttrSchema());
-  Block lb;
-  lb.alternatives.push_back({Tuple({0, 0}), 0.4});
-  lb.alternatives.push_back({Tuple({1, 1}), 0.6});
-  ASSERT_TRUE(left.AddBlock(lb).ok());
-
-  ProbDatabase right(TwoAttrSchema());
-  Block rb;
-  rb.alternatives.push_back({Tuple({0, 1}), 0.5});
-  ASSERT_TRUE(right.AddBlock(rb).ok());
-
-  // Join on inc == inc: only (0,0) x (0,1) matches.
-  auto joined = EquiJoin(left, right, 0, 0);
-  ASSERT_TRUE(joined.ok());
-  ASSERT_EQ(joined->tuples.size(), 1u);
-  EXPECT_NEAR(joined->tuples[0].prob, 0.4 * 0.5, 1e-12);
-  EXPECT_EQ(joined->schema.num_attrs(), 4u);
-  EXPECT_EQ(joined->tuples[0].tuple.num_attrs(), 4u);
-  // Right-hand attributes are renamed.
-  AttrId id = 0;
-  EXPECT_TRUE(joined->schema.FindAttr("inc_r", &id));
-}
-
-TEST(QueryTest, EquiJoinValidatesAttrs) {
-  ProbDatabase db = SmallDb();
-  EXPECT_FALSE(EquiJoin(db, db, 7, 0).ok());
-}
-
-TEST(QueryTest, SelectThenCountComposes) {
-  ProbDatabase db = SmallDb();
-  Predicate inc100 = Predicate::Eq(0, 1);
-  Predicate nw500 = Predicate::Eq(1, 1);
-  // COUNT over select(inc=100K) with pred nw=500K equals COUNT with the
-  // conjunction on the original database.
-  double direct = ExpectedCount(db, inc100.And(nw500));
-  double composed = ExpectedCount(Select(db, inc100), nw500);
-  EXPECT_NEAR(direct, composed, 1e-12);
 }
 
 }  // namespace

@@ -87,6 +87,33 @@ TEST(RelationTest, HeaderOnlyCsv) {
   EXPECT_EQ(rel->schema().num_attrs(), 2u);
 }
 
+TEST(RelationTest, FixedSchemaEncodingIgnoresRowOrder) {
+  // Against a fixed schema, labels map to that schema's ValueIds even
+  // when the file meets them in a different order.
+  auto schema = Relation::FromCsv("a,b\nx,u\ny,v\n");
+  ASSERT_TRUE(schema.ok());
+  auto rel = Relation::FromCsv("a,b\ny,?\nx,\n", schema->schema());
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->row(0).value(0), 1u);  // y
+  EXPECT_EQ(rel->row(1).value(0), 0u);  // x
+  EXPECT_EQ(rel->row(0).value(1), kMissingValue);
+  EXPECT_EQ(rel->row(1).value(1), kMissingValue);
+  EXPECT_EQ(rel->schema().attr(0).cardinality(), 2u);
+}
+
+TEST(RelationTest, FixedSchemaEncodingRejectsMismatches) {
+  auto schema = Relation::FromCsv("a,b\nx,u\n");
+  ASSERT_TRUE(schema.ok());
+  const Schema& s = schema->schema();
+  auto unknown = Relation::FromCsv("a,b\nx,w\n", s);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("'w'"), std::string::npos);
+  EXPECT_NE(unknown.status().message().find("attribute b"),
+            std::string::npos);
+  EXPECT_FALSE(Relation::FromCsv("b,a\nu,x\n", s).ok());  // order
+  EXPECT_FALSE(Relation::FromCsv("a\nx\n", s).ok());      // arity
+}
+
 TEST(RelationTest, FileRoundTrip) {
   Relation rel = LoadFig1();
   std::string path = ::testing::TempDir() + "/mrsl_relation_test.csv";

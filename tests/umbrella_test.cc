@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle_harness.h"
+
 namespace mrsl {
 namespace {
 
@@ -50,8 +52,19 @@ TEST(UmbrellaTest, EndToEndThroughSingleInclude) {
   ASSERT_TRUE(just_broken.Append(broken).ok());
   auto db = ProbDatabase::FromInference(just_broken, *dists);
   ASSERT_TRUE(db.ok());
-  double p = ProbExists(*db, Predicate::Eq(0, broken.value(0)));
-  EXPECT_NEAR(p, 1.0, 1e-9);  // observed cell is certain
+  PlanPtr plan = SelectPlan(Predicate::Eq(0, broken.value(0)), ScanPlan(0));
+  auto exists = EvaluateExists(*plan, {&*db});
+  ASSERT_TRUE(exists.ok());
+  EXPECT_NEAR(exists->prob.lo, 1.0, 1e-9);  // observed cell is certain
+  // Exhaustive enumeration (the test harness's ground truth) agrees.
+  double truth = 0.0;
+  oracle_harness::ForEachWorldChoices(
+      *db, [&](const std::vector<int32_t>& choices, double p) {
+        auto bag = EvaluatePlanInWorld(*plan, {&*db}, {choices});
+        ASSERT_TRUE(bag.ok());
+        if (!bag->empty()) truth += p;
+      });
+  EXPECT_NEAR(exists->prob.lo, truth, 1e-9);
 }
 
 TEST(UmbrellaTest, ModelIoAndRepairThroughSingleInclude) {

@@ -281,11 +281,18 @@ bool GetIntFlag(const std::map<std::string, std::vector<std::string>>& f,
   return ParseInt(s, out) && *out >= 0;
 }
 
+// Reads --in. Commands that pair it with a model pass the model's
+// schema, so labels map to the ValueIds the model was learned with
+// whatever the row order; tune passes null and grows the schema from
+// the file, as learn does.
 Result<Relation> LoadInput(
-    const std::map<std::string, std::vector<std::string>>& flags) {
+    const std::map<std::string, std::vector<std::string>>& flags,
+    const Schema* model_schema) {
   std::string path = GetFlag(flags, "in", "");
   if (path.empty()) return Status::InvalidArgument("missing --in");
-  return Relation::LoadCsvFile(path);
+  if (model_schema == nullptr) return Relation::LoadCsvFile(path);
+  MRSL_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return Relation::FromCsv(text, *model_schema);
 }
 
 int CmdLearn(const std::map<std::string, std::vector<std::string>>& flags) {
@@ -438,7 +445,7 @@ int CmdInfer(const std::map<std::string, std::vector<std::string>>& flags) {
     std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  auto rel = LoadInput(flags);
+  auto rel = LoadInput(flags, &model->schema());
   if (!rel.ok()) {
     std::fprintf(stderr, "error: %s\n", rel.status().ToString().c_str());
     return 1;
@@ -499,7 +506,7 @@ int CmdRepair(const std::map<std::string, std::vector<std::string>>& flags) {
     std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  auto rel = LoadInput(flags);
+  auto rel = LoadInput(flags, &model->schema());
   if (!rel.ok()) {
     std::fprintf(stderr, "error: %s\n", rel.status().ToString().c_str());
     return 1;
@@ -719,7 +726,7 @@ int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
     std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  auto rel = LoadInput(flags);
+  auto rel = LoadInput(flags, &model->schema());
   if (!rel.ok()) {
     std::fprintf(stderr, "error: %s\n", rel.status().ToString().c_str());
     return 1;
@@ -850,7 +857,7 @@ int RestoreOrDerive(BidStore* store,
       }
     }
   } else {
-    auto rel = LoadInput(flags);
+    auto rel = LoadInput(flags, &store->engine()->model().schema());
     if (!rel.ok()) {
       std::cerr << "error: " << rel.status() << " (no snapshot at "
                 << snapshot_path
@@ -1179,7 +1186,7 @@ int CmdTop(const std::map<std::string, std::vector<std::string>>& flags) {
 
 int CmdTune(const std::map<std::string, std::vector<std::string>>& flags) {
   const auto Usage = [] { return UsageFor("tune"); };
-  auto rel = LoadInput(flags);
+  auto rel = LoadInput(flags, nullptr);
   if (!rel.ok()) {
     std::fprintf(stderr, "error: %s\n", rel.status().ToString().c_str());
     return 1;
