@@ -1,11 +1,11 @@
 // Safe-plan compilation: factored-event evaluation plus a lattice search
 // over partial conditionings of the correlated blocks.
 //
-// The evaluator mirrors the extensional rules of pdb/plan.cc operator by
-// operator — same schemas, same row order, same interval formulas at the
-// fallback — but every tracked row additionally carries its event as a
-// positive DNF over interned (block, alternative-set) atoms. That extra
-// structure buys two things the lineage summary cannot:
+// The evaluator runs on the row skeleton (pdb/plan_internal.h) with the
+// reference evaluator's rules and row order, but every tracked row also
+// carries its event as a positive DNF over interned (block,
+// alternative-set) atoms. That extra structure buys two things the
+// lineage summary cannot:
 //
 //   * joins of composite events stay exact (the conjunction of two
 //     conjunctions of atoms is again a conjunction of atoms, with
@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -37,9 +38,12 @@ namespace {
 
 using plan_internal::AltSetMass;
 using plan_internal::Clamp01;
-using plan_internal::KeysIntersect;
+using plan_internal::ConjoinEvents;
+using plan_internal::DisjoinComponent;
+using plan_internal::DisjoinIndependent;
+using plan_internal::Event;
+using plan_internal::EventRef;
 using plan_internal::UnionKeys;
-using plan_internal::ValidateSource;
 
 // Caps on the factored representation. A row past either cap degrades
 // to its lineage summary and interval (sound, just not refinable); the
@@ -78,10 +82,7 @@ class AtomTable {
     info.key = key;
     info.source = source;
     info.block = block;
-    double mass = 0.0;
-    const Block& blk = sources_[source]->block(block);
-    for (uint32_t j : alts) mass += blk.alternatives[j].prob;
-    info.mass = Clamp01(mass);
+    info.mass = AltSetMass(*sources_[source], block, alts);
     info.alts = std::move(alts);
     atoms_.push_back(std::move(info));
     uint32_t id = static_cast<uint32_t>(atoms_.size() - 1);
@@ -91,6 +92,7 @@ class AtomTable {
 
   const AtomInfo& at(uint32_t id) const { return atoms_[id]; }
   const ProbDatabase& source(uint32_t s) const { return *sources_[s]; }
+  const std::vector<const ProbDatabase*>& sources() const { return sources_; }
 
  private:
   const std::vector<const ProbDatabase*>& sources_;
@@ -110,23 +112,15 @@ struct Dnf {
 
   size_t disjuncts() const { return ends.size(); }
   size_t begin_of(size_t d) const { return d == 0 ? 0 : ends[d - 1]; }
+
+  // The event that is exactly one atom.
+  static Dnf Atom(uint32_t atom) { return Dnf{{atom}, {1}, true}; }
 };
 
-// One evaluated row: values, envelope interval, lineage summary (the
-// same summary pdb/plan.cc maintains), and the factored event.
-struct CRow {
-  Tuple tuple;
-  ProbInterval prob;
-  Lineage lineage;
+// One evaluated row: the reference evaluator's row (values, envelope
+// interval, lineage summary) plus the factored event.
+struct CRow : PlanRow {
   Dnf dnf;
-};
-
-// No Schema here, only its width: phase 1 already validated the plan
-// and owns the output schema, and copying a Schema with a large label
-// vocabulary would cost more than this whole pass on big databases.
-struct CTable {
-  size_t num_attrs = 0;
-  std::vector<CRow> rows;
 };
 
 // Single-disjunct helper: the exact product of the disjunct's atom
@@ -298,10 +292,8 @@ class LatticeSearch {
       }
       std::sort(alts.begin(), alts.end());
       alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      const Block& blk = atoms_.source(first.source).block(first.block);
-      double mass = 0.0;
-      for (uint32_t j : alts) mass += blk.alternatives[j].prob;
-      return ProbInterval::Exact(Clamp01(mass));
+      return ProbInterval::Exact(
+          AltSetMass(atoms_.source(first.source), first.block, alts));
     }
 
     // Pick the pivot: the block shared by the most disjuncts (ties to
@@ -488,10 +480,9 @@ WorkDnf ComponentDnf(const std::vector<const CRow*>& members) {
   return out;
 }
 
-// OR of member rows: exact where the lineage rules allow, the oblivious
-// dissociation bound where they correlate — with each correlated
-// component's DNF parked in *pending for the lattice walk. `*safe` is
-// cleared exactly when DisjoinEvents would have cleared it.
+// OR of member rows: DisjoinEvents' rules component by component, with
+// each correlated component's DNF parked in *pending for the lattice
+// walk. `*safe` is cleared exactly when DisjoinEvents would clear it.
 CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
                  AtomTable* atoms, bool* safe, PendingGroup* pending) {
   CRow out;
@@ -514,98 +505,52 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
     return out;
   }
 
-  // Correlation components over the members' block-key summaries.
-  std::vector<std::vector<size_t>> comps =
-      plan_internal::CorrelationComponents(
-          members.size(), [&](size_t i, auto&& fn) {
-            for (uint64_t key : members[i]->lineage.blocks) fn(key);
-          });
-
-  std::vector<PendingComponent> pcs;
-  std::vector<const Dnf*> comp_rows;
-  std::vector<const CRow*> comp_members;
-  for (const std::vector<size_t>& comp : comps) {
-    PendingComponent pc;
-    if (comp.size() == 1) {
-      const CRow& row = *members[comp[0]];
-      pc.prob = row.prob;
-      if (!row.prob.exact() && row.dnf.tracked) {
-        pc.correlated = true;
-        pc.dnf = ComponentDnf({&row});
-      }
-      out.lineage.blocks = UnionKeys(out.lineage.blocks, row.lineage.blocks);
-      pcs.push_back(std::move(pc));
-      continue;
-    }
-    bool all_simple_same_block = true;
-    const Lineage& first = members[comp[0]]->lineage;
-    for (size_t i : comp) {
-      const Lineage& l = members[i]->lineage;
-      if (!l.simple || l.source != first.source || l.block != first.block) {
-        all_simple_same_block = false;
-        break;
-      }
-    }
-    if (all_simple_same_block) {
-      // Disjoint-union rule: alternative sets of one block union
-      // exactly.
-      std::vector<uint32_t> alts;
-      for (size_t i : comp) {
-        const std::vector<uint32_t>& more = members[i]->lineage.alts;
-        alts.insert(alts.end(), more.begin(), more.end());
-      }
-      std::sort(alts.begin(), alts.end());
-      alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      pc.prob = ProbInterval::Exact(AltSetMass(
-          atoms->source(first.source), first.block, alts));
-      if (comps.size() == 1) {
-        // The whole group is one block: keep the simple lineage (and a
-        // refinable single-atom DNF) like DisjoinEvents does.
-        out.lineage.simple = true;
-        out.lineage.source = first.source;
-        out.lineage.block = first.block;
-        out.lineage.alts = alts;
-        out.dnf.tracked = true;
-        out.dnf.atoms = {
-            atoms->Intern(first.source, first.block, std::move(alts))};
-        out.dnf.ends = {1};
-      }
-      out.lineage.blocks = UnionKeys(out.lineage.blocks, first.blocks);
-      pcs.push_back(std::move(pc));
-      continue;
-    }
-    // Correlated component: the oblivious dissociation bound now, the
-    // concatenated DNF parked for refinement.
-    double lo = 0.0;
-    double hi = 0.0;
-    comp_members.clear();
-    for (size_t i : comp) {
-      lo = std::max(lo, members[i]->prob.lo);
-      hi += members[i]->prob.hi;
-      out.lineage.blocks =
-          UnionKeys(out.lineage.blocks, members[i]->lineage.blocks);
-      comp_members.push_back(members[i]);
-    }
-    pc.prob = ProbInterval::Bounds(lo, std::min(1.0, hi));
-    pc.correlated = true;
-    pc.dnf = ComponentDnf(comp_members);
-    *safe = false;
-    pcs.push_back(std::move(pc));
+  std::vector<EventRef> events;
+  events.reserve(members.size());
+  for (const CRow* row : members) {
+    events.push_back(EventRef{row->prob, &row->lineage});
   }
-
-  // Components are block-disjoint, hence independent: complement-
-  // multiply (the monotone rule maps interval endpoints directly).
   PendingGroup group;
-  group.components = std::move(pcs);
-  out.prob = RecombineGroup(group);
+  std::vector<Event> merged;
+  std::vector<const CRow*> comp_members;
+  for (const std::vector<size_t>& comp :
+       plan_internal::CorrelationComponents(events)) {
+    bool exact = true;
+    merged.push_back(
+        DisjoinComponent(events, comp, atoms->sources(), &exact));
+    PendingComponent pc;
+    pc.prob = merged.back().prob;
+    const CRow& first = *members[comp[0]];
+    if (comp.size() == 1 && !first.prob.exact() && first.dnf.tracked) {
+      // A non-exact row alone in its component stays refinable.
+      pc.correlated = true;
+      pc.dnf = ComponentDnf({&first});
+    } else if (!exact) {
+      // Correlated component: the oblivious dissociation bound now, the
+      // concatenated DNF parked for refinement.
+      comp_members.clear();
+      for (size_t i : comp) comp_members.push_back(members[i]);
+      pc.correlated = true;
+      pc.dnf = ComponentDnf(comp_members);
+      *safe = false;
+    }
+    group.components.push_back(std::move(pc));
+  }
+  Event combined = DisjoinIndependent(std::move(merged));
+  out.prob = combined.prob;
+  out.lineage = std::move(combined.lineage);
 
-  // Keep the group's OR as the row's own DNF when everything tracked —
-  // parents (nested projects, joins above projects) then stay factored.
-  if (!out.dnf.tracked) {
-    comp_rows.clear();
-    for (const CRow* row : members) comp_rows.push_back(&row->dnf);
-    Dnf merged;
-    if (DisjoinDnf(comp_rows, &merged)) out.dnf = std::move(merged);
+  if (out.lineage.simple) {
+    // The whole group is one block: a refinable single-atom DNF.
+    out.dnf = Dnf::Atom(atoms->Intern(out.lineage.source, out.lineage.block,
+                                      out.lineage.alts));
+  } else {
+    // Keep the group's OR as the row's own DNF when everything tracked —
+    // parents (nested projects, joins above projects) then stay factored.
+    std::vector<const Dnf*> parts;
+    for (const CRow* row : members) parts.push_back(&row->dnf);
+    Dnf dnf;
+    if (DisjoinDnf(parts, &dnf)) out.dnf = std::move(dnf);
   }
 
   if (pending != nullptr) *pending = std::move(group);
@@ -613,107 +558,115 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
 }
 
 // ---------------------------------------------------------------------------
-// The factored evaluator: EvalNode's operators with DNF bookkeeping.
+// The factored evaluator: the compiler's event policy for the row
+// skeleton (plan_internal.h), the reference evaluator's rules plus DNF
+// bookkeeping.
 // ---------------------------------------------------------------------------
 
-class CompiledEval {
+class FactoredPolicy {
  public:
-  CompiledEval(const std::vector<const ProbDatabase*>& sources,
-               const CompileOptions& options, AtomTable* atoms,
-               const WallTimer* clock, CompileStats* stats)
-      : sources_(sources),
-        options_(options),
-        atoms_(atoms),
-        clock_(clock),
-        stats_(stats) {}
+  using Row = CRow;
 
-  bool safe() const { return safe_; }
-
-  // Restricts scans to alternatives of the listed block keys (sorted).
+  // Scans only alternatives of the blocks in `universe` (sorted keys).
   // CompileQuery's two-phase split: the columnar executor has already
   // answered every group whose blocks are NOT in this set exactly, so
   // the factored pass only needs the rows that can reach a non-exact
   // group — a group's marginal depends only on rows whose every lineage
   // block is in the group's union (the plan-cache invalidation
   // guarantee), so dropping other rows changes nothing it reports.
-  void set_block_filter(const std::vector<uint64_t>* filter) {
-    block_filter_ = filter;
-  }
+  FactoredPolicy(const CompileOptions& options, AtomTable* atoms,
+                 const WallTimer* clock, CompileStats* stats,
+                 const std::vector<uint64_t>& universe)
+      : options_(options),
+        atoms_(atoms),
+        clock_(clock),
+        stats_(stats),
+        universe_(universe) {}
 
-  // True while interior refinement may still spend time.
-  bool ClockAllows() const {
-    return options_.budget_ms <= 0.0 ||
-           clock_->ElapsedMillis() < options_.budget_ms;
-  }
+  // From now on, Disjoin parks each group's components in `pending`
+  // instead of refining them inline: CompileQuery groups the answer's
+  // marginals this way, and the anytime loop orders them cheapest-first
+  // itself.
+  void DeferGroups(std::vector<PendingGroup>* pending) { deferred_ = pending; }
 
-  Result<CTable> Eval(const PlanNode& node) {
-    switch (node.op) {
-      case PlanNode::Op::kScan:
-        return EvalScan(node);
-      case PlanNode::Op::kSelect:
-        return EvalSelect(node);
-      case PlanNode::Op::kProject:
-        return EvalProject(node);
-      case PlanNode::Op::kJoin:
-        return EvalJoin(node);
-    }
-    return Status::Internal("unknown plan operator");
-  }
-
-  // The projection grouping, exposed so CompileQuery can run the ROOT
-  // projection (and the distinct-marginal grouping) with deferred
-  // refinement — those groups are the answer's marginals, and the
-  // anytime loop wants to order them cheapest-first itself.
-  Result<CTable> ProjectRows(const CTable& child,
-                             const std::vector<AttrId>& attrs,
-                             std::vector<PendingGroup>* pending) {
-    for (AttrId a : attrs) {
-      if (a >= child.num_attrs) {
-        return Status::InvalidArgument("project attribute out of range");
+  void Scan(size_t source, std::vector<CRow>* out) {
+    const ProbDatabase& db = atoms_->source(static_cast<uint32_t>(source));
+    for (size_t b = 0; b < db.num_blocks(); ++b) {
+      if (!std::binary_search(
+              universe_.begin(), universe_.end(),
+              Lineage::BlockKey(static_cast<uint32_t>(source), b))) {
+        continue;
+      }
+      for (size_t j = 0; j < db.block(b).alternatives.size(); ++j) {
+        CRow row;
+        static_cast<PlanRow&>(row) = plan_internal::ScanRow(db, source, b, j);
+        row.dnf = Dnf::Atom(atoms_->Intern(static_cast<uint32_t>(source), b,
+                                           {static_cast<uint32_t>(j)}));
+        out->push_back(std::move(row));
       }
     }
-    std::unordered_map<Tuple, size_t, TupleHash> index;
-    std::vector<std::pair<Tuple, std::vector<size_t>>> groups;
-    for (size_t r = 0; r < child.rows.size(); ++r) {
-      Tuple proj(attrs.size());
-      for (size_t k = 0; k < attrs.size(); ++k) {
-        proj.set_value(static_cast<AttrId>(k),
-                       child.rows[r].tuple.value(attrs[k]));
-      }
-      auto [it, inserted] = index.emplace(proj, groups.size());
-      if (inserted) groups.emplace_back(std::move(proj),
-                                        std::vector<size_t>());
-      groups[it->second].second.push_back(r);
-    }
-
-    CTable out;
-    out.num_attrs = attrs.size();
-    out.rows.reserve(groups.size());
-    std::vector<const CRow*> members;
-    for (auto& [proj, rows] : groups) {
-      members.clear();
-      members.reserve(rows.size());
-      for (size_t r : rows) members.push_back(&child.rows[r]);
-      PendingGroup group;
-      CRow row = DisjoinRows(members, std::move(proj), atoms_, &safe_,
-                             pending != nullptr ? &group : nullptr);
-      if (pending != nullptr) {
-        pending->push_back(std::move(group));
-      } else {
-        RefineInline(&row, &group);
-      }
-      out.rows.push_back(std::move(row));
-    }
-    return out;
   }
 
+  // AND of two rows: ConjoinEvents, then the DNF conjunction. Returns
+  // false when the pair is impossible (exactly zero): simple same-block
+  // events with disjoint alternative sets, or tracked DNFs whose every
+  // product disjunct died. `safe_` is cleared whenever the LINEAGE rules
+  // alone dissociated, even where the DNF recovered exactness.
+  bool Conjoin(const CRow& a, const CRow& b, CRow* out) {
+    bool exact = true;
+    bool impossible = false;
+    Event ev = ConjoinEvents(EventRef{a.prob, &a.lineage},
+                             EventRef{b.prob, &b.lineage}, atoms_->sources(),
+                             &exact, &impossible);
+    if (impossible) return false;
+    out->prob = ev.prob;
+    out->lineage = std::move(ev.lineage);
+    if (out->lineage.simple) {
+      // Same block: the intersected alternative set is one atom.
+      out->dnf = Dnf::Atom(atoms_->Intern(
+          out->lineage.source, out->lineage.block, out->lineage.alts));
+      return true;
+    }
+    if (!exact) safe_ = false;
+    bool dnf_impossible = false;
+    const bool tracked =
+        a.dnf.tracked && b.dnf.tracked &&
+        ConjoinDnf(a.dnf, b.dnf, atoms_, &out->dnf, &dnf_impossible);
+    if (tracked && dnf_impossible) return false;
+    if (!exact && tracked && out->dnf.disjuncts() == 1) {
+      // The conjunction collapsed to one conjunction of atoms over
+      // distinct blocks: exact, where the summary rules only bound.
+      out->prob = ProbInterval::Exact(DisjunctMass(out->dnf, 0, *atoms_));
+    }
+    return true;
+  }
+
+  // OR of one projection group (DisjoinRows), refined inline below the
+  // root or parked for the anytime loop (DeferGroups).
+  CRow Disjoin(const std::vector<CRow>& rows, const uint32_t* members,
+               size_t n, Tuple key) {
+    members_.clear();
+    members_.reserve(n);
+    for (size_t i = 0; i < n; ++i) members_.push_back(&rows[members[i]]);
+    PendingGroup group;
+    CRow row = DisjoinRows(members_, std::move(key), atoms_, &safe_,
+                           deferred_ != nullptr ? &group : nullptr);
+    if (deferred_ != nullptr) {
+      deferred_->push_back(std::move(group));
+    } else {
+      RefineInline(&row);
+    }
+    return row;
+  }
+
+ private:
   // Refines an interior group immediately (no cross-group ordering to
   // honor below the root), respecting the world cap and the clock.
-  void RefineInline(CRow* row, PendingGroup* group) {
-    (void)group;
+  void RefineInline(CRow* row) {
     if (!row->prob.exact() && row->dnf.tracked &&
         options_.max_worlds_per_group > 0 && !options_.propagation_only &&
-        ClockAllows()) {
+        (options_.budget_ms <= 0.0 ||
+         clock_->ElapsedMillis() < options_.budget_ms)) {
       WorkDnf dnf;
       dnf.reserve(row->dnf.disjuncts());
       for (size_t d = 0; d < row->dnf.disjuncts(); ++d) {
@@ -727,165 +680,14 @@ class CompiledEval {
     }
   }
 
- private:
-  Result<CTable> EvalScan(const PlanNode& node) {
-    MRSL_RETURN_IF_ERROR(ValidateSource(node.source, sources_));
-    const ProbDatabase& db = *sources_[node.source];
-    CTable out;
-    out.num_attrs = db.schema().num_attrs();
-    size_t total = 0;
-    for (size_t b = 0; b < db.num_blocks(); ++b) {
-      total += db.block(b).alternatives.size();
-    }
-    out.rows.reserve(total);
-    for (size_t b = 0; b < db.num_blocks(); ++b) {
-      if (block_filter_ != nullptr &&
-          !std::binary_search(
-              block_filter_->begin(), block_filter_->end(),
-              Lineage::BlockKey(static_cast<uint32_t>(node.source), b))) {
-        continue;
-      }
-      const Block& block = db.block(b);
-      for (size_t j = 0; j < block.alternatives.size(); ++j) {
-        CRow row;
-        row.tuple = block.alternatives[j].tuple;
-        row.prob = ProbInterval::Exact(Clamp01(block.alternatives[j].prob));
-        row.lineage.simple = true;
-        row.lineage.source = static_cast<uint32_t>(node.source);
-        row.lineage.block = b;
-        row.lineage.alts = {static_cast<uint32_t>(j)};
-        row.lineage.blocks = {
-            Lineage::BlockKey(static_cast<uint32_t>(node.source), b)};
-        row.dnf.tracked = true;
-        row.dnf.atoms = {atoms_->Intern(static_cast<uint32_t>(node.source),
-                                        b, {static_cast<uint32_t>(j)})};
-        row.dnf.ends = {1};
-        out.rows.push_back(std::move(row));
-      }
-    }
-    return out;
-  }
-
-  Result<CTable> EvalSelect(const PlanNode& node) {
-    auto child = Eval(*node.left);
-    if (!child.ok()) return child.status();
-    AttrMask touched = node.pred.AttrsTouched();
-    if (child->num_attrs < kMaxAttributes &&
-        (touched >> child->num_attrs) != 0) {
-      return Status::InvalidArgument("select predicate attr out of range");
-    }
-    CTable out;
-    out.num_attrs = child->num_attrs;
-    for (CRow& row : child->rows) {
-      if (node.pred.Eval(row.tuple)) out.rows.push_back(std::move(row));
-    }
-    return out;
-  }
-
-  Result<CTable> EvalProject(const PlanNode& node) {
-    auto child = Eval(*node.left);
-    if (!child.ok()) return child.status();
-    return ProjectRows(*child, node.attrs, nullptr);
-  }
-
-  Result<CTable> EvalJoin(const PlanNode& node) {
-    auto left = Eval(*node.left);
-    if (!left.ok()) return left.status();
-    auto right = Eval(*node.right);
-    if (!right.ok()) return right.status();
-    if (node.left_attr >= left->num_attrs ||
-        node.right_attr >= right->num_attrs) {
-      return Status::InvalidArgument("join attribute out of range");
-    }
-
-    std::unordered_map<ValueId, std::vector<size_t>> right_index;
-    right_index.reserve(right->rows.size());
-    for (size_t r = 0; r < right->rows.size(); ++r) {
-      right_index[right->rows[r].tuple.value(node.right_attr)].push_back(r);
-    }
-
-    CTable out;
-    const size_t ln = left->num_attrs;
-    const size_t rn = right->num_attrs;
-    out.num_attrs = ln + rn;
-    for (const CRow& lr : left->rows) {
-      auto it = right_index.find(lr.tuple.value(node.left_attr));
-      if (it == right_index.end()) continue;
-      for (size_t r : it->second) {
-        const CRow& rr = right->rows[r];
-        CRow joined;
-        if (!ConjoinRows(lr, rr, &joined)) continue;  // impossible pair
-        joined.tuple = Tuple(ln + rn);
-        for (AttrId a = 0; a < ln; ++a) {
-          joined.tuple.set_value(a, lr.tuple.value(a));
-        }
-        for (AttrId a = 0; a < rn; ++a) {
-          joined.tuple.set_value(static_cast<AttrId>(ln + a),
-                                 rr.tuple.value(a));
-        }
-        out.rows.push_back(std::move(joined));
-      }
-    }
-    return out;
-  }
-
-  // AND of two rows. Returns false when the pair is impossible (exactly
-  // zero): simple same-block events with disjoint alternative sets, or
-  // tracked DNFs whose every product disjunct died. `safe_` mirrors
-  // ConjoinEvents — cleared whenever the LINEAGE rules alone would have
-  // dissociated, even where the DNF recovered exactness.
-  bool ConjoinRows(const CRow& a, const CRow& b, CRow* out) {
-    const Lineage& la = a.lineage;
-    const Lineage& lb = b.lineage;
-    if (la.simple && lb.simple && la.source == lb.source &&
-        la.block == lb.block) {
-      std::vector<uint32_t> alts;
-      std::set_intersection(la.alts.begin(), la.alts.end(), lb.alts.begin(),
-                            lb.alts.end(), std::back_inserter(alts));
-      if (alts.empty()) return false;
-      out->lineage.simple = true;
-      out->lineage.source = la.source;
-      out->lineage.block = la.block;
-      out->lineage.blocks = la.blocks;
-      out->prob = ProbInterval::Exact(
-          AltSetMass(atoms_->source(la.source), la.block, alts));
-      out->dnf.tracked = true;
-      out->dnf.atoms = {atoms_->Intern(la.source, la.block, alts)};
-      out->dnf.ends = {1};
-      out->lineage.alts = std::move(alts);
-      return true;
-    }
-
-    out->lineage.blocks = UnionKeys(la.blocks, lb.blocks);
-    bool independent = !KeysIntersect(la.blocks, lb.blocks);
-    bool impossible = false;
-    bool tracked = a.dnf.tracked && b.dnf.tracked &&
-                   ConjoinDnf(a.dnf, b.dnf, atoms_, &out->dnf, &impossible);
-    if (!independent) safe_ = false;
-    if (tracked && impossible) return false;
-
-    if (independent) {
-      out->prob = ProbInterval::Bounds(a.prob.lo * b.prob.lo,
-                                       a.prob.hi * b.prob.hi);
-    } else if (tracked && out->dnf.disjuncts() == 1) {
-      // The conjunction collapsed to one conjunction of atoms over
-      // distinct blocks: exact, where the summary rules only bound.
-      out->prob = ProbInterval::Exact(DisjunctMass(out->dnf, 0, *atoms_));
-    } else {
-      out->prob = ProbInterval::Bounds(
-          std::max(0.0, a.prob.lo + b.prob.lo - 1.0),
-          std::min(a.prob.hi, b.prob.hi));
-    }
-    return true;
-  }
-
-  const std::vector<const ProbDatabase*>& sources_;
   const CompileOptions& options_;
   AtomTable* atoms_;
   const WallTimer* clock_;
   CompileStats* stats_;
-  const std::vector<uint64_t>* block_filter_ = nullptr;  // sorted keys
-  bool safe_ = true;
+  const std::vector<uint64_t>& universe_;  // sorted block keys
+  std::vector<PendingGroup>* deferred_ = nullptr;
+  std::vector<const CRow*> members_;  // Disjoin scratch
+  bool safe_ = true;  // plan safety is phase 1's; kept for the rules
 };
 
 // Propagation score of a pending group: every disjunct treated as an
@@ -1037,22 +839,32 @@ Result<CompiledQuery> CompileQuery(
     // rebuilds the non-exact groups' events as DNFs and defers their
     // refinement to the anytime loop.
     AtomTable atoms(sources);
-    CompiledEval eval(sources, options, &atoms, &clock, &out.stats);
-    eval.set_block_filter(&universe);
+    FactoredPolicy policy(options, &atoms, &clock, &out.stats, universe);
+    plan_internal::RowSkeleton<FactoredPolicy> eval(&policy);
 
+    // `top` is the restricted pass's result; `grouped` holds one
+    // combined row per answer group, its components deferred into
+    // `pending` in step: the root projection's own groups, or (other
+    // roots) the distinct-value groups of the rows of refinable groups.
     std::vector<PendingGroup> pending;
-    CTable top;
+    std::vector<CRow> top;
+    std::vector<CRow> distinct;
     if (root_project) {
-      auto child = eval.Eval(*plan.left);
-      if (!child.ok()) return child.status();
-      auto projected = eval.ProjectRows(*child, plan.attrs, &pending);
-      if (!projected.ok()) return projected.status();
-      top = std::move(*projected);
+      std::vector<CRow> child = eval.Eval(*plan.left);
+      policy.DeferGroups(&pending);
+      top = eval.Project(child, plan.attrs);
     } else {
-      auto table = eval.Eval(plan);
-      if (!table.ok()) return table.status();
-      top = std::move(*table);
+      top = eval.Eval(plan);
+      std::vector<CRow> refinable;
+      for (const CRow& row : top) {
+        if (refinable_index.count(row.tuple) != 0) refinable.push_back(row);
+      }
+      std::vector<AttrId> all(base.schema.num_attrs());
+      std::iota(all.begin(), all.end(), AttrId{0});
+      policy.DeferGroups(&pending);
+      distinct = eval.Project(refinable, all);
     }
+    const std::vector<CRow>& grouped = root_project ? top : distinct;
 
     // One group per NON-EXACT phase-1 marginal. A group whose phase-1
     // answer is exact can still surface in `top` with PARTIAL
@@ -1068,39 +880,14 @@ Result<CompiledQuery> CompileQuery(
       PendingGroup group;
     };
     std::vector<MarginalGroup> groups;
-    bool marginal_safe = true;
-    if (root_project) {
-      groups.reserve(refinable_index.size());
-      for (size_t r = 0; r < top.rows.size(); ++r) {
-        auto it = refinable_index.find(top.rows[r].tuple);
-        if (it == refinable_index.end()) continue;
-        MarginalGroup g;
-        g.base = it->second;
-        g.combined = top.rows[r];  // copy: `top` stays whole for EXISTS
-        g.group = std::move(pending[r]);
-        groups.push_back(std::move(g));
-      }
-    } else {
-      std::unordered_map<Tuple, size_t, TupleHash> index;
-      std::vector<std::pair<Tuple, std::vector<const CRow*>>> by_value;
-      for (const CRow& row : top.rows) {
-        if (refinable_index.count(row.tuple) == 0) continue;
-        auto [it, inserted] = index.emplace(row.tuple, by_value.size());
-        if (inserted) {
-          by_value.emplace_back(row.tuple, std::vector<const CRow*>());
-        }
-        by_value[it->second].second.push_back(&row);
-      }
-      groups.reserve(by_value.size());
-      for (auto& [tuple, members] : by_value) {
-        MarginalGroup g;
-        g.base = refinable_index.at(tuple);
-        g.combined = DisjoinRows(members, std::move(tuple), &atoms,
-                                 &marginal_safe, &g.group);
-        groups.push_back(std::move(g));
-      }
+    groups.reserve(refinable_index.size());
+    for (size_t r = 0; r < grouped.size(); ++r) {
+      auto it = refinable_index.find(grouped[r].tuple);
+      if (it == refinable_index.end()) continue;
+      // A copy: `top` stays whole for EXISTS.
+      groups.push_back(
+          MarginalGroup{it->second, grouped[r], std::move(pending[r])});
     }
-    (void)marginal_safe;  // phase 1 already settled plan safety
 
     if (options.propagation_only) {
       // Ranking fast path: one pass, scores in place of bounds.
@@ -1147,10 +934,6 @@ Result<CompiledQuery> CompileQuery(
                        [](const Candidate& a, const Candidate& b) {
                          return a.cost < b.cost;
                        });
-      if (options.refine_limit > 0 &&
-          candidates.size() > options.refine_limit) {
-        candidates.resize(options.refine_limit);
-      }
 
       std::vector<bool> group_refined(groups.size(), false);
       size_t candidates_tried = 0;
@@ -1211,18 +994,18 @@ Result<CompiledQuery> CompileQuery(
       // Faithful only when the universe covered every result row — the
       // fully-correlated regime; otherwise the phase-1 bound stands.
       if (options.want_exists && rows_covered &&
-          top.rows.size() == base.rows.size()) {
+          top.size() == base.rows.size()) {
         // Full coverage means the restricted pass reproduced every row
         // (same order as phase 1 — the factored evaluator mirrors the
         // extensional one row for row), so its DNFs describe the whole
         // disjunction.
         std::vector<CRow> shadow;
-        shadow.reserve(top.rows.size());
-        for (size_t r = 0; r < top.rows.size(); ++r) {
+        shadow.reserve(top.size());
+        for (size_t r = 0; r < top.size(); ++r) {
           CRow s;
-          s.prob = root_project ? final_prob[r] : top.rows[r].prob;
-          s.lineage = std::move(top.rows[r].lineage);
-          s.dnf = std::move(top.rows[r].dnf);
+          s.prob = root_project ? final_prob[r] : top[r].prob;
+          s.lineage = std::move(top[r].lineage);
+          s.dnf = std::move(top[r].dnf);
           shadow.push_back(std::move(s));
         }
         std::vector<const CRow*> all;
@@ -1325,9 +1108,9 @@ Result<CompiledQuery> CompileQuery(
 
 std::string CompileCacheSuffix(const CompileOptions& options) {
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "#compiled;w=%.17g;b=%.17g;mw=%zu;k=%zu%s",
+  std::snprintf(buf, sizeof(buf), "#compiled;w=%.17g;b=%.17g;mw=%zu%s",
                 options.width_target, options.budget_ms,
-                options.max_worlds_per_group, options.refine_limit,
+                options.max_worlds_per_group,
                 options.propagation_only ? ";prop" : "");
   return std::string(buf);
 }

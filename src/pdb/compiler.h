@@ -74,10 +74,6 @@ struct CompileOptions {
   /// costlier ones fall back to the dissociation bound partway down.
   size_t max_worlds_per_group = 4096;
 
-  /// When > 0, refine only the k cheapest correlated groups per query
-  /// (by estimated world count); the rest keep dissociation bounds.
-  size_t refine_limit = 0;
-
   /// Ranking fast path: report propagation scores (disjuncts treated as
   /// independent) instead of sound bounds. One pass, no lattice search.
   bool propagation_only = false;

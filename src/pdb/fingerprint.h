@@ -3,7 +3,7 @@
 // with a placeholder, render the normalized text, and hash it to a
 // stable 64-bit fingerprint.
 //
-// The normalized rendering mirrors PlanToString exactly — same operator
+// The normalized rendering is PlanToString's own walk — same operator
 // syntax, same attribute names, same join keys — except that predicate
 // atoms render as "attr=?" / "attr!=?" instead of "attr=LABEL". The
 // aggregate wrapper (exists/count) is part of the text, so the same

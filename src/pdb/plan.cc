@@ -35,108 +35,76 @@ namespace {
 
 using plan_internal::AltSetMass;
 using plan_internal::Clamp01;
+using plan_internal::ConjoinEvents;
+using plan_internal::CorrelationComponents;
+using plan_internal::DisjoinEvents;
+using plan_internal::Event;
+using plan_internal::EventRef;
 using plan_internal::KeysIntersect;
 using plan_internal::PoissonBinomial;
 using plan_internal::UnionKeys;
 using plan_internal::ValidateSource;
 
-// An owned row event (the output of a combination rule).
-struct Event {
-  ProbInterval prob;
-  Lineage lineage;
-};
+}  // namespace
 
-// A borrowed row event: the interval by value (16 bytes), the lineage by
-// pointer into whoever stores the row — PlanRow or ColumnBatch. The
-// combination rules below read EventRefs so neither evaluator has to
-// copy lineage vectors just to combine rows.
-struct EventRef {
-  ProbInterval prob;
-  const Lineage* lineage;
-};
+namespace plan_internal {
 
-// Correlation components of `events` (see plan_internal.h).
-std::vector<std::vector<size_t>> CorrelationComponents(
-    const std::vector<EventRef>& events) {
-  return plan_internal::CorrelationComponents(
-      events.size(), [&](size_t i, auto&& fn) {
-        for (uint64_t key : events[i].lineage->blocks) fn(key);
-      });
+Event DisjoinComponent(const std::vector<EventRef>& events,
+                       const std::vector<size_t>& comp,
+                       const std::vector<const ProbDatabase*>& sources,
+                       bool* exact) {
+  const Lineage& first = *events[comp[0]].lineage;
+  if (comp.size() == 1) return Event{events[comp[0]].prob, first};
+  bool all_simple_same_block = true;
+  for (size_t i : comp) {
+    const Lineage& l = *events[i].lineage;
+    if (!l.simple || l.source != first.source || l.block != first.block) {
+      all_simple_same_block = false;
+      break;
+    }
+  }
+  Event ev;
+  if (all_simple_same_block) {
+    // Disjoint-union rule: the events are alternative sets of one
+    // block, so their union's mass is exact.
+    std::vector<uint32_t> alts;
+    for (size_t i : comp) {
+      const std::vector<uint32_t>& more = events[i].lineage->alts;
+      alts.insert(alts.end(), more.begin(), more.end());
+    }
+    std::sort(alts.begin(), alts.end());
+    alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
+    ev.lineage.simple = true;
+    ev.lineage.source = first.source;
+    ev.lineage.block = first.block;
+    ev.lineage.blocks = first.blocks;
+    ev.prob = ProbInterval::Exact(
+        AltSetMass(*sources[first.source], first.block, alts));
+    ev.lineage.alts = std::move(alts);
+  } else {
+    // Correlated component: dissociate to Frechet disjunction bounds.
+    double lo = 0.0;
+    double hi = 0.0;
+    for (size_t i : comp) {
+      lo = std::max(lo, events[i].prob.lo);
+      hi += events[i].prob.hi;
+      ev.lineage.blocks =
+          UnionKeys(ev.lineage.blocks, events[i].lineage->blocks);
+    }
+    ev.prob = ProbInterval::Bounds(lo, std::min(1.0, hi));
+    *exact = false;
+  }
+  return ev;
 }
 
-// OR of all `events`. Exact when the correlation components are each a
-// single event or a set of simple events on one shared block; otherwise
-// the component dissociates to Frechet bounds and *exact is cleared.
-Event DisjoinEvents(const std::vector<EventRef>& events,
-                    const std::vector<const ProbDatabase*>& sources,
-                    bool* exact) {
-  assert(!events.empty());
-  if (events.size() == 1) return Event{events[0].prob, *events[0].lineage};
-
-  std::vector<std::vector<size_t>> components =
-      CorrelationComponents(events);
-
-  std::vector<Event> merged;
-  merged.reserve(components.size());
-  for (const std::vector<size_t>& comp : components) {
-    if (comp.size() == 1) {
-      merged.push_back(
-          Event{events[comp[0]].prob, *events[comp[0]].lineage});
-      continue;
-    }
-    bool all_simple_same_block = true;
-    for (size_t i : comp) {
-      const Lineage& l = *events[i].lineage;
-      if (!l.simple || l.source != events[comp[0]].lineage->source ||
-          l.block != events[comp[0]].lineage->block) {
-        all_simple_same_block = false;
-        break;
-      }
-    }
-    Event ev;
-    if (all_simple_same_block) {
-      // Disjoint-union rule: the events are alternative sets of one
-      // block, so their union's mass is exact.
-      const Lineage& first = *events[comp[0]].lineage;
-      std::vector<uint32_t> alts;
-      for (size_t i : comp) {
-        const std::vector<uint32_t>& more = events[i].lineage->alts;
-        alts.insert(alts.end(), more.begin(), more.end());
-      }
-      std::sort(alts.begin(), alts.end());
-      alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      ev.lineage.simple = true;
-      ev.lineage.source = first.source;
-      ev.lineage.block = first.block;
-      ev.lineage.blocks = first.blocks;
-      ev.prob = ProbInterval::Exact(
-          AltSetMass(*sources[first.source], first.block, alts));
-      ev.lineage.alts = std::move(alts);
-    } else {
-      // Correlated component: dissociate to Frechet disjunction bounds.
-      double lo = 0.0;
-      double hi = 0.0;
-      for (size_t i : comp) {
-        lo = std::max(lo, events[i].prob.lo);
-        hi += events[i].prob.hi;
-        ev.lineage.blocks =
-            UnionKeys(ev.lineage.blocks, events[i].lineage->blocks);
-      }
-      ev.prob = ProbInterval::Bounds(lo, std::min(1.0, hi));
-      *exact = false;
-    }
-    merged.push_back(std::move(ev));
-  }
-
-  if (merged.size() == 1) return merged[0];
-
-  // Components touch disjoint blocks, hence are independent: the union
-  // complement-multiplies. 1 - prod(1 - p) is monotone in every p, so
-  // interval endpoints map through directly.
+Event DisjoinIndependent(std::vector<Event> parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  // 1 - prod(1 - p) is monotone in every p, so interval endpoints map
+  // through directly.
   Event out;
   double none_lo = 1.0;
   double none_hi = 1.0;
-  for (const Event& ev : merged) {
+  for (const Event& ev : parts) {
     none_lo *= (1.0 - ev.prob.lo);
     none_hi *= (1.0 - ev.prob.hi);
     out.lineage.blocks = UnionKeys(out.lineage.blocks, ev.lineage.blocks);
@@ -146,9 +114,18 @@ Event DisjoinEvents(const std::vector<EventRef>& events,
   return out;
 }
 
-// AND of two row events (Join). Sets *impossible for same-block events
-// with non-intersecting alternative sets (the joined pair can never
-// coexist); clears *exact when dissociation bounds were needed.
+Event DisjoinEvents(const std::vector<EventRef>& events,
+                    const std::vector<const ProbDatabase*>& sources,
+                    bool* exact) {
+  assert(!events.empty());
+  if (events.size() == 1) return Event{events[0].prob, *events[0].lineage};
+  std::vector<Event> merged;
+  for (const std::vector<size_t>& comp : CorrelationComponents(events)) {
+    merged.push_back(DisjoinComponent(events, comp, sources, exact));
+  }
+  return DisjoinIndependent(std::move(merged));
+}
+
 Event ConjoinEvents(const EventRef& a, const EventRef& b,
                     const std::vector<const ProbDatabase*>& sources,
                     bool* exact, bool* impossible) {
@@ -189,6 +166,10 @@ Event ConjoinEvents(const EventRef& a, const EventRef& b,
   *exact = false;
   return out;
 }
+
+}  // namespace plan_internal
+
+namespace {
 
 Attribute RenamedAttribute(const Attribute& src, std::string name) {
   std::vector<std::string> labels;
@@ -238,171 +219,74 @@ Result<Schema> ProjectSchema(const Schema& child,
   return Schema::Create(std::move(kept));
 }
 
-Result<PlanResult> EvalNode(const PlanNode& node,
-                            const std::vector<const ProbDatabase*>& sources) {
-  switch (node.op) {
-    case PlanNode::Op::kScan: {
-      MRSL_RETURN_IF_ERROR(ValidateSource(node.source, sources));
-      const ProbDatabase& db = *sources[node.source];
-      PlanResult out;
-      out.schema = db.schema();
-      size_t total = 0;
-      for (size_t b = 0; b < db.num_blocks(); ++b) {
-        total += db.block(b).alternatives.size();
-      }
-      out.rows.reserve(total);
-      for (size_t b = 0; b < db.num_blocks(); ++b) {
-        const Block& block = db.block(b);
-        for (size_t j = 0; j < block.alternatives.size(); ++j) {
-          PlanRow row;
-          row.tuple = block.alternatives[j].tuple;
-          row.prob = ProbInterval::Exact(Clamp01(block.alternatives[j].prob));
-          row.lineage.simple = true;
-          row.lineage.source = static_cast<uint32_t>(node.source);
-          row.lineage.block = b;
-          row.lineage.alts = {static_cast<uint32_t>(j)};
-          row.lineage.blocks = {
-              Lineage::BlockKey(static_cast<uint32_t>(node.source), b)};
-          out.rows.push_back(std::move(row));
-        }
-      }
-      return out;
+// The reference evaluator's event policy for the row skeleton
+// (plan_internal.h): a row carries its interval and lineage summary, and
+// Join / Project combine them with ConjoinEvents / DisjoinEvents.
+class LineagePolicy {
+ public:
+  using Row = PlanRow;
+
+  explicit LineagePolicy(const std::vector<const ProbDatabase*>& sources)
+      : sources_(sources) {}
+
+  // True iff every combination so far used an exact rule.
+  bool safe() const { return safe_; }
+
+  void Scan(size_t source, std::vector<PlanRow>* out) {
+    const ProbDatabase& db = *sources_[source];
+    size_t total = 0;
+    for (size_t b = 0; b < db.num_blocks(); ++b) {
+      total += db.block(b).alternatives.size();
     }
-
-    case PlanNode::Op::kSelect: {
-      auto child = EvalNode(*node.left, sources);
-      if (!child.ok()) return child.status();
-      AttrMask touched = node.pred.AttrsTouched();
-      if (child->schema.num_attrs() < kMaxAttributes &&
-          (touched >> child->schema.num_attrs()) != 0) {
-        return Status::InvalidArgument("select predicate attr out of range");
+    out->reserve(total);
+    for (size_t b = 0; b < db.num_blocks(); ++b) {
+      for (size_t j = 0; j < db.block(b).alternatives.size(); ++j) {
+        out->push_back(plan_internal::ScanRow(db, source, b, j));
       }
-      PlanResult out;
-      out.schema = child->schema;
-      out.safe = child->safe;
-      for (PlanRow& row : child->rows) {
-        // Row values are certain, so selection filters rows without
-        // touching their events or probabilities.
-        if (node.pred.Eval(row.tuple)) out.rows.push_back(std::move(row));
-      }
-      return out;
-    }
-
-    case PlanNode::Op::kProject: {
-      auto child = EvalNode(*node.left, sources);
-      if (!child.ok()) return child.status();
-      auto schema = ProjectSchema(child->schema, node.attrs);
-      if (!schema.ok()) return schema.status();
-
-      // Group rows by projected value, first-seen order.
-      std::unordered_map<Tuple, size_t, TupleHash> index;
-      std::vector<std::pair<Tuple, std::vector<size_t>>> groups;
-      for (size_t r = 0; r < child->rows.size(); ++r) {
-        Tuple proj(node.attrs.size());
-        for (size_t k = 0; k < node.attrs.size(); ++k) {
-          proj.set_value(static_cast<AttrId>(k),
-                         child->rows[r].tuple.value(node.attrs[k]));
-        }
-        auto [it, inserted] = index.emplace(proj, groups.size());
-        if (inserted) groups.emplace_back(std::move(proj),
-                                          std::vector<size_t>());
-        groups[it->second].second.push_back(r);
-      }
-
-      PlanResult out;
-      out.schema = std::move(schema).value();
-      out.safe = child->safe;
-      out.rows.reserve(groups.size());
-      std::vector<EventRef> group_events;
-      for (auto& [proj, members] : groups) {
-        group_events.clear();
-        group_events.reserve(members.size());
-        for (size_t r : members) {
-          group_events.push_back(
-              EventRef{child->rows[r].prob, &child->rows[r].lineage});
-        }
-        Event ev = DisjoinEvents(group_events, sources, &out.safe);
-        out.rows.push_back(PlanRow{std::move(proj), ev.prob,
-                                   std::move(ev.lineage)});
-      }
-      return out;
-    }
-
-    case PlanNode::Op::kJoin: {
-      auto left = EvalNode(*node.left, sources);
-      if (!left.ok()) return left.status();
-      auto right = EvalNode(*node.right, sources);
-      if (!right.ok()) return right.status();
-      if (node.left_attr >= left->schema.num_attrs() ||
-          node.right_attr >= right->schema.num_attrs()) {
-        return Status::InvalidArgument("join attribute out of range");
-      }
-      auto schema = ConcatSchemas(left->schema, right->schema);
-      if (!schema.ok()) return schema.status();
-
-      std::unordered_map<ValueId, std::vector<size_t>> right_index;
-      right_index.reserve(right->rows.size());
-      for (size_t r = 0; r < right->rows.size(); ++r) {
-        right_index[right->rows[r].tuple.value(node.right_attr)]
-            .push_back(r);
-      }
-
-      PlanResult out;
-      out.schema = std::move(schema).value();
-      out.safe = left->safe && right->safe;
-      // Exact output reservation: count matches first (cheap integer
-      // pass), so the append loop never reallocates mid-join.
-      size_t matches = 0;
-      std::vector<const std::vector<size_t>*> left_matches;
-      left_matches.reserve(left->rows.size());
-      for (const PlanRow& lr : left->rows) {
-        auto it = right_index.find(lr.tuple.value(node.left_attr));
-        const std::vector<size_t>* m =
-            it == right_index.end() ? nullptr : &it->second;
-        if (m != nullptr) matches += m->size();
-        left_matches.push_back(m);
-      }
-      out.rows.reserve(matches);
-      const size_t ln = left->schema.num_attrs();
-      const size_t rn = right->schema.num_attrs();
-      for (size_t l = 0; l < left->rows.size(); ++l) {
-        if (left_matches[l] == nullptr) continue;
-        const PlanRow& lr = left->rows[l];
-        for (size_t r : *left_matches[l]) {
-          const PlanRow& rr = right->rows[r];
-          bool impossible = false;
-          Event ev = ConjoinEvents(EventRef{lr.prob, &lr.lineage},
-                                   EventRef{rr.prob, &rr.lineage}, sources,
-                                   &out.safe, &impossible);
-          if (impossible) continue;
-          Tuple joined(ln + rn);
-          for (AttrId a = 0; a < ln; ++a) {
-            joined.set_value(a, lr.tuple.value(a));
-          }
-          for (AttrId a = 0; a < rn; ++a) {
-            joined.set_value(static_cast<AttrId>(ln + a),
-                             rr.tuple.value(a));
-          }
-          out.rows.push_back(PlanRow{std::move(joined), ev.prob,
-                                     std::move(ev.lineage)});
-        }
-      }
-      return out;
     }
   }
-  return Status::Internal("unknown plan operator");
-}
+
+  bool Conjoin(const PlanRow& l, const PlanRow& r, PlanRow* out) {
+    bool impossible = false;
+    Event ev = ConjoinEvents(EventRef{l.prob, &l.lineage},
+                             EventRef{r.prob, &r.lineage}, sources_, &safe_,
+                             &impossible);
+    if (impossible) return false;
+    out->prob = ev.prob;
+    out->lineage = std::move(ev.lineage);
+    return true;
+  }
+
+  PlanRow Disjoin(const std::vector<PlanRow>& rows, const uint32_t* members,
+                  size_t n, Tuple key) {
+    events_.clear();
+    events_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const PlanRow& row = rows[members[i]];
+      events_.push_back(EventRef{row.prob, &row.lineage});
+    }
+    Event ev = DisjoinEvents(events_, sources_, &safe_);
+    return PlanRow{std::move(key), ev.prob, std::move(ev.lineage)};
+  }
+
+ private:
+  const std::vector<const ProbDatabase*>& sources_;
+  std::vector<EventRef> events_;  // Disjoin scratch
+  bool safe_ = true;
+};
 
 // ---------------------------------------------------------------------------
 // The columnar batch evaluator (the production path). Same operators,
 // same combination rules, same row order and floating-point operations
-// as EvalNode above — but intermediate rows live in struct-of-arrays
-// ColumnBatches: values in one contiguous column per attribute, the
-// interval in flat double arrays, lineage in a side CSR table. No Tuple
-// is constructed and no PlanRow is moved until the root rematerializes,
-// and the batch combination rules below append lineage straight into
-// the output arena — zero per-row allocations in steady state, where
-// the row reference pays one or more vector allocations per event.
+// as the reference evaluator (LineagePolicy on the row skeleton), but
+// it shares none of the skeleton's code, and intermediate rows live in
+// struct-of-arrays ColumnBatches: values in one contiguous column per
+// attribute, the interval in flat double arrays, lineage in a side CSR
+// table. No Tuple is constructed and no PlanRow is moved until the root
+// rematerializes, and the batch combination rules below append lineage
+// straight into the output arena — zero per-row allocations in steady
+// state, where the row reference pays one or more vector allocations
+// per event.
 // ---------------------------------------------------------------------------
 
 // Sorted-unique merge of two key spans into `out` (cleared first);
@@ -516,11 +400,13 @@ bool ConjoinRowsToBatch(const ColumnBatch& left, size_t l,
 // order — with one representational improvement: a correlated
 // component's key set is collected once and sort-uniqued instead of
 // merged pairwise (identical resulting set, linear instead of
-// quadratic in the component's block count).
-void DisjoinGroupToBatch(const ColumnBatch& child, const uint32_t* rows,
-                         size_t n,
-                         const std::vector<const ProbDatabase*>& sources,
-                         ColumnBatch* out, bool* exact, EventScratch* s) {
+// quadratic in the component's block count). Out of line: EvalNodeBatch
+// has inlining budget for one of the two batch rules, and the join's
+// per-pair ConjoinRowsToBatch is the one that pays for a call.
+[[gnu::noinline]] void DisjoinGroupToBatch(
+    const ColumnBatch& child, const uint32_t* rows, size_t n,
+    const std::vector<const ProbDatabase*>& sources, ColumnBatch* out,
+    bool* exact, EventScratch* s) {
   const LineageTable& lt = child.lineage;
   assert(n != 0);
   if (n == 1) {
@@ -903,93 +789,121 @@ PlanPtr JoinPlan(PlanPtr left, PlanPtr right, AttrId left_attr,
   return node;
 }
 
-Result<Schema> PlanOutputSchema(
-    const PlanNode& plan, const std::vector<const ProbDatabase*>& sources) {
+namespace {
+
+// One node of PlanWalk: its output schema and its text. A Scan or Select
+// borrows the schema below it; a Project or Join owns the one it built.
+struct WalkedNode {
+  const Schema* schema = nullptr;
+  std::unique_ptr<Schema> owned;
+  std::string text;
+};
+
+// Predicate::ToString with every literal replaced by "?". Atom order is
+// preserved: "a=X AND b=Y" and "b=Y AND a=X" are different shapes (the
+// columnar evaluator sweeps atoms in order), matching the canonical
+// plan-text identity the plan cache already uses.
+std::string PlaceholderPredicate(const Predicate& pred, const Schema& schema) {
+  const auto& atoms = pred.atoms();
+  if (atoms.empty()) return "TRUE";
+  std::string out;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    if (i != 0) out += " AND ";
+    out += schema.attr(atoms[i].attr).name();
+    out += atoms[i].negated ? "!=" : "=";
+    out += '?';
+  }
+  return out;
+}
+
+// The one validating walk over a plan: post-order, building each node's
+// output schema exactly once, so validation and rendering are linear in
+// the plan size. Select literals render as labels, or as "?" when
+// `literals` is false.
+Result<WalkedNode> PlanWalk(const PlanNode& plan,
+                            const std::vector<const ProbDatabase*>& sources,
+                            bool literals) {
   switch (plan.op) {
     case PlanNode::Op::kScan: {
       MRSL_RETURN_IF_ERROR(ValidateSource(plan.source, sources));
-      return sources[plan.source]->schema();
+      WalkedNode out;
+      out.schema = &sources[plan.source]->schema();
+      out.text = "scan(" + std::to_string(plan.source) + ")";
+      return out;
     }
     case PlanNode::Op::kSelect: {
-      auto child = PlanOutputSchema(*plan.left, sources);
-      if (!child.ok()) return child.status();
-      // The oracle paths (MonteCarloPlanOracle, EvaluatePlanInWorld)
-      // validate plans only through this function before calling
-      // Predicate::Eval, whose cell access is unchecked.
+      MRSL_ASSIGN_OR_RETURN(WalkedNode out,
+                            PlanWalk(*plan.left, sources, literals));
+      // Every row-at-a-time path validates plans only through this walk
+      // before calling Predicate::Eval, whose cell access is unchecked.
       AttrMask touched = plan.pred.AttrsTouched();
-      if (child->num_attrs() < kMaxAttributes &&
-          (touched >> child->num_attrs()) != 0) {
+      if (out.schema->num_attrs() < kMaxAttributes &&
+          (touched >> out.schema->num_attrs()) != 0) {
         return Status::InvalidArgument("select predicate attr out of range");
       }
-      return child;
+      out.text = "select(" +
+                 (literals ? plan.pred.ToString(*out.schema)
+                           : PlaceholderPredicate(plan.pred, *out.schema)) +
+                 "; " + out.text + ")";
+      return out;
     }
     case PlanNode::Op::kProject: {
-      auto child = PlanOutputSchema(*plan.left, sources);
-      if (!child.ok()) return child.status();
-      return ProjectSchema(*child, plan.attrs);
+      MRSL_ASSIGN_OR_RETURN(WalkedNode child,
+                            PlanWalk(*plan.left, sources, literals));
+      MRSL_ASSIGN_OR_RETURN(Schema schema,
+                            ProjectSchema(*child.schema, plan.attrs));
+      std::vector<std::string> names;
+      for (AttrId a : plan.attrs) names.push_back(child.schema->attr(a).name());
+      WalkedNode out;
+      out.text = "project(" + Join(names, ",") + "; " + child.text + ")";
+      out.owned = std::make_unique<Schema>(std::move(schema));
+      out.schema = out.owned.get();
+      return out;
     }
     case PlanNode::Op::kJoin: {
-      auto left = PlanOutputSchema(*plan.left, sources);
-      if (!left.ok()) return left.status();
-      auto right = PlanOutputSchema(*plan.right, sources);
-      if (!right.ok()) return right.status();
-      if (plan.left_attr >= left->num_attrs() ||
-          plan.right_attr >= right->num_attrs()) {
+      MRSL_ASSIGN_OR_RETURN(WalkedNode left,
+                            PlanWalk(*plan.left, sources, literals));
+      MRSL_ASSIGN_OR_RETURN(WalkedNode right,
+                            PlanWalk(*plan.right, sources, literals));
+      if (plan.left_attr >= left.schema->num_attrs() ||
+          plan.right_attr >= right.schema->num_attrs()) {
         return Status::InvalidArgument("join attribute out of range");
       }
-      return ConcatSchemas(*left, *right);
+      MRSL_ASSIGN_OR_RETURN(Schema schema,
+                            ConcatSchemas(*left.schema, *right.schema));
+      WalkedNode out;
+      out.text = "join(" + left.text + "; " + right.text + "; " +
+                 left.schema->attr(plan.left_attr).name() + "=" +
+                 right.schema->attr(plan.right_attr).name() + ")";
+      out.owned = std::make_unique<Schema>(std::move(schema));
+      out.schema = out.owned.get();
+      return out;
     }
   }
   return Status::Internal("unknown plan operator");
 }
 
+}  // namespace
+
+Result<Schema> PlanOutputSchema(
+    const PlanNode& plan, const std::vector<const ProbDatabase*>& sources) {
+  // Placeholders: a literal outside its attribute's labels is legal in
+  // an evaluated plan (it matches nothing) but has no label to render.
+  MRSL_ASSIGN_OR_RETURN(WalkedNode node, PlanWalk(plan, sources, false));
+  if (node.owned != nullptr) return std::move(*node.owned);
+  return *node.schema;
+}
+
 Result<std::string> PlanToString(
     const PlanNode& plan, const std::vector<const ProbDatabase*>& sources) {
-  switch (plan.op) {
-    case PlanNode::Op::kScan: {
-      MRSL_RETURN_IF_ERROR(ValidateSource(plan.source, sources));
-      return "scan(" + std::to_string(plan.source) + ")";
-    }
-    case PlanNode::Op::kSelect: {
-      auto schema = PlanOutputSchema(*plan.left, sources);
-      if (!schema.ok()) return schema.status();
-      auto child = PlanToString(*plan.left, sources);
-      if (!child.ok()) return child.status();
-      return "select(" + plan.pred.ToString(*schema) + "; " + *child + ")";
-    }
-    case PlanNode::Op::kProject: {
-      auto schema = PlanOutputSchema(*plan.left, sources);
-      if (!schema.ok()) return schema.status();
-      auto child = PlanToString(*plan.left, sources);
-      if (!child.ok()) return child.status();
-      std::vector<std::string> names;
-      for (AttrId a : plan.attrs) {
-        if (a >= schema->num_attrs()) {
-          return Status::InvalidArgument("project attr out of range");
-        }
-        names.push_back(schema->attr(a).name());
-      }
-      return "project(" + Join(names, ",") + "; " + *child + ")";
-    }
-    case PlanNode::Op::kJoin: {
-      auto lschema = PlanOutputSchema(*plan.left, sources);
-      if (!lschema.ok()) return lschema.status();
-      auto rschema = PlanOutputSchema(*plan.right, sources);
-      if (!rschema.ok()) return rschema.status();
-      if (plan.left_attr >= lschema->num_attrs() ||
-          plan.right_attr >= rschema->num_attrs()) {
-        return Status::InvalidArgument("join attribute out of range");
-      }
-      auto left = PlanToString(*plan.left, sources);
-      if (!left.ok()) return left.status();
-      auto right = PlanToString(*plan.right, sources);
-      if (!right.ok()) return right.status();
-      return "join(" + *left + "; " + *right + "; " +
-             lschema->attr(plan.left_attr).name() + "=" +
-             rschema->attr(plan.right_attr).name() + ")";
-    }
-  }
-  return Status::Internal("unknown plan operator");
+  return plan_internal::RenderPlan(plan, sources, /*literals=*/true);
+}
+
+Result<std::string> plan_internal::RenderPlan(
+    const PlanNode& plan, const std::vector<const ProbDatabase*>& sources,
+    bool literals) {
+  MRSL_ASSIGN_OR_RETURN(WalkedNode node, PlanWalk(plan, sources, literals));
+  return std::move(node.text);
 }
 
 void PlanResources::Merge(const PlanResources& other) {
@@ -1009,34 +923,29 @@ Result<PlanResult> EvaluatePlan(const PlanNode& plan,
 
 Result<PlanResult> EvaluatePlanRowwise(
     const PlanNode& plan, const std::vector<const ProbDatabase*>& sources) {
-  return EvalNode(plan, sources);
+  PlanResult out;
+  MRSL_ASSIGN_OR_RETURN(out.schema, PlanOutputSchema(plan, sources));
+  LineagePolicy policy(sources);
+  out.rows = plan_internal::RowSkeleton<LineagePolicy>(&policy).Eval(plan);
+  out.safe = policy.safe();
+  return out;
 }
 
 std::vector<DistinctMarginal> DistinctMarginals(
     const PlanResult& result,
     const std::vector<const ProbDatabase*>& sources) {
-  std::unordered_map<Tuple, size_t, TupleHash> index;
-  std::vector<std::pair<Tuple, std::vector<size_t>>> groups;
-  for (size_t r = 0; r < result.rows.size(); ++r) {
-    auto [it, inserted] = index.emplace(result.rows[r].tuple, groups.size());
-    if (inserted) {
-      groups.emplace_back(result.rows[r].tuple, std::vector<size_t>());
-    }
-    groups[it->second].second.push_back(r);
-  }
+  // A projection onto every column: one group per distinct tuple.
+  std::vector<AttrId> all(
+      result.rows.empty() ? 0 : result.rows[0].tuple.num_attrs());
+  std::iota(all.begin(), all.end(), AttrId{0});
+  LineagePolicy policy(sources);  // exactness shows in each interval
+  std::vector<PlanRow> groups =
+      plan_internal::RowSkeleton<LineagePolicy>(&policy).Project(result.rows,
+                                                                 all);
   std::vector<DistinctMarginal> out;
   out.reserve(groups.size());
-  bool exact = true;  // per-marginal exactness shows in the interval
-  std::vector<EventRef> group_events;
-  for (auto& [tuple, members] : groups) {
-    group_events.clear();
-    group_events.reserve(members.size());
-    for (size_t r : members) {
-      group_events.push_back(
-          EventRef{result.rows[r].prob, &result.rows[r].lineage});
-    }
-    Event ev = DisjoinEvents(group_events, sources, &exact);
-    out.push_back(DistinctMarginal{std::move(tuple), ev.prob});
+  for (PlanRow& group : groups) {
+    out.push_back(DistinctMarginal{std::move(group.tuple), group.prob});
   }
   return out;
 }
@@ -1424,71 +1333,39 @@ uint64_t OracleChunkSeed(uint64_t seed, uint64_t chunk) {
   return z ^ (z >> 31);
 }
 
-// Deterministic single-world evaluation; the plan must be validated
-// before the trial loop (this cannot fail).
-void EvalWorld(const PlanNode& node,
-               const std::vector<const ProbDatabase*>& sources,
-               const std::vector<std::vector<int32_t>>& choices,
-               std::vector<Tuple>* out) {
-  switch (node.op) {
-    case PlanNode::Op::kScan: {
-      const ProbDatabase& db = *sources[node.source];
-      const std::vector<int32_t>& picks = choices[node.source];
-      for (size_t b = 0; b < db.num_blocks(); ++b) {
-        if (picks[b] == kNoAlternative) continue;
-        out->push_back(
-            db.block(b).alternatives[static_cast<size_t>(picks[b])].tuple);
-      }
-      return;
-    }
-    case PlanNode::Op::kSelect: {
-      std::vector<Tuple> child;
-      EvalWorld(*node.left, sources, choices, &child);
-      for (Tuple& t : child) {
-        if (node.pred.Eval(t)) out->push_back(std::move(t));
-      }
-      return;
-    }
-    case PlanNode::Op::kProject: {
-      std::vector<Tuple> child;
-      EvalWorld(*node.left, sources, choices, &child);
-      std::unordered_set<Tuple, TupleHash> seen;
-      for (const Tuple& t : child) {
-        Tuple proj(node.attrs.size());
-        for (size_t k = 0; k < node.attrs.size(); ++k) {
-          proj.set_value(static_cast<AttrId>(k), t.value(node.attrs[k]));
-        }
-        if (seen.insert(proj).second) out->push_back(std::move(proj));
-      }
-      return;
-    }
-    case PlanNode::Op::kJoin: {
-      std::vector<Tuple> left;
-      std::vector<Tuple> right;
-      EvalWorld(*node.left, sources, choices, &left);
-      EvalWorld(*node.right, sources, choices, &right);
-      std::unordered_map<ValueId, std::vector<const Tuple*>> right_index;
-      for (const Tuple& t : right) {
-        right_index[t.value(node.right_attr)].push_back(&t);
-      }
-      const size_t rn = right.empty() ? 0 : right[0].num_attrs();
-      for (const Tuple& lt : left) {
-        auto it = right_index.find(lt.value(node.left_attr));
-        if (it == right_index.end()) continue;
-        const size_t ln = lt.num_attrs();
-        for (const Tuple* rt : it->second) {
-          Tuple joined(ln + rn);
-          for (AttrId a = 0; a < ln; ++a) joined.set_value(a, lt.value(a));
-          for (AttrId a = 0; a < rn; ++a) {
-            joined.set_value(static_cast<AttrId>(ln + a), rt->value(a));
-          }
-          out->push_back(std::move(joined));
-        }
-      }
-      return;
+// The possible-world evaluator's policy for the row skeleton: in one
+// sampled world a row is just its tuple — present or absent, with no
+// event to combine. `choices` must match the sources' shapes.
+class WorldPolicy {
+ public:
+  using Row = Tuple;
+
+  WorldPolicy(const std::vector<const ProbDatabase*>& sources,
+              const std::vector<std::vector<int32_t>>& choices)
+      : sources_(sources), choices_(choices) {}
+
+  void Scan(size_t source, std::vector<Tuple>* out) {
+    const ProbDatabase& db = *sources_[source];
+    const std::vector<int32_t>& picks = choices_[source];
+    out->reserve(db.num_blocks());
+    for (size_t b = 0; b < db.num_blocks(); ++b) {
+      if (picks[b] == kNoAlternative) continue;
+      out->push_back(
+          db.block(b).alternatives[static_cast<size_t>(picks[b])].tuple);
     }
   }
-}
+
+  bool Conjoin(const Tuple&, const Tuple&, Tuple*) { return true; }
+
+  Tuple Disjoin(const std::vector<Tuple>&, const uint32_t*, size_t,
+                Tuple key) {
+    return key;
+  }
+
+ private:
+  const std::vector<const ProbDatabase*>& sources_;
+  const std::vector<std::vector<int32_t>>& choices_;
+};
 
 }  // namespace
 
@@ -1503,10 +1380,19 @@ Result<std::vector<Tuple>> EvaluatePlanInWorld(
     if (choices[s].size() != sources[s]->num_blocks()) {
       return Status::InvalidArgument("choice vector/block count mismatch");
     }
+    for (size_t b = 0; b < choices[s].size(); ++b) {
+      const int32_t pick = choices[s][b];
+      if (pick != kNoAlternative &&
+          (pick < 0 || static_cast<size_t>(pick) >=
+                           sources[s]->block(b).alternatives.size())) {
+        return Status::InvalidArgument(
+            "choice " + std::to_string(pick) + " out of range for block " +
+            std::to_string(b) + " of source " + std::to_string(s));
+      }
+    }
   }
-  std::vector<Tuple> out;
-  EvalWorld(plan, sources, choices, &out);
-  return out;
+  WorldPolicy policy(sources, choices);
+  return plan_internal::RowSkeleton<WorldPolicy>(&policy).Eval(plan);
 }
 
 Result<OracleResult> MonteCarloPlanOracle(
@@ -1537,15 +1423,15 @@ Result<OracleResult> MonteCarloPlanOracle(
     std::vector<std::vector<int32_t>> choices(sources.size());
     std::unordered_map<Tuple, size_t, TupleHash> index;
     std::unordered_set<Tuple, TupleHash> distinct;
-    std::vector<Tuple> bag;
+    WorldPolicy policy(sources, choices);
+    plan_internal::RowSkeleton<WorldPolicy> world(&policy);
     const size_t begin = c * chunk_size;
     const size_t end = std::min(options.trials, begin + chunk_size);
     for (size_t t = begin; t < end; ++t) {
       for (size_t s = 0; s < sources.size(); ++s) {
         SampleWorldChoices(*sources[s], &rng, &choices[s]);
       }
-      bag.clear();
-      EvalWorld(plan, sources, choices, &bag);
+      const std::vector<Tuple> bag = world.Eval(plan);
       if (!bag.empty()) ++tally.nonempty;
       tally.total_count += bag.size();
       if (tally.count_hist.size() <= bag.size()) {

@@ -165,7 +165,7 @@ struct PlanResult {
 /// build on a raw key column with batched output gathers, Project as a
 /// group-id sweep plus one disjoin pass — and materializes rows only at
 /// the root. Bit-identical (row order, doubles, lineage) to the row
-/// reference evaluator below.
+/// reference evaluator below, with which it shares no traversal code.
 ///
 /// `trace` (when active) receives one child span per plan operator
 /// ("op.scan" / "op.select" / "op.project" / "op.join") with rows-in /
@@ -182,8 +182,13 @@ Result<PlanResult> EvaluatePlan(const PlanNode& plan,
                                 PlanResources* resources = nullptr);
 
 /// The row-at-a-time reference evaluator: one PlanRow per intermediate
-/// row. Kept compiled as the differential baseline for the columnar
-/// path (tests hold the two to exact equality); not used in serving.
+/// row. It runs on the one row-at-a-time plan skeleton
+/// (pdb/plan_internal.h) that the compiler's factored phase 2
+/// (CompileQuery) and the oracle's world evaluator (EvaluatePlanInWorld,
+/// MonteCarloPlanOracle) also run on, each with its own event policy;
+/// the columnar path above does not. Kept compiled as the differential
+/// baseline for the columnar path (tests hold the two to exact
+/// equality); not used in serving.
 Result<PlanResult> EvaluatePlanRowwise(
     const PlanNode& plan, const std::vector<const ProbDatabase*>& sources);
 
@@ -293,7 +298,8 @@ Result<OracleResult> MonteCarloPlanOracle(
 /// Deterministic single-world evaluation (the oracle's inner loop,
 /// exposed for tests): `choices[s][b]` is the alternative index chosen
 /// for block b of source s, or kNoAlternative when the block contributes
-/// nothing. Returns the bag of result tuples.
+/// nothing; any other index outside the block's alternatives is an
+/// InvalidArgument. Returns the bag of result tuples.
 Result<std::vector<Tuple>> EvaluatePlanInWorld(
     const PlanNode& plan, const std::vector<const ProbDatabase*>& sources,
     const std::vector<std::vector<int32_t>>& choices);

@@ -5,12 +5,16 @@
 // until its task hands it back through done_ — the IO thread never
 // touches a busy socket, so reads and writes can't interleave.
 //
-// Shutdown ordering is the one subtle invariant: a handler task wakes
-// the IO thread BEFORE decrementing inflight_, and touches nothing of
-// the server after the decrement. The IO loop only exits when inflight_
-// is zero and the connection table is empty, so by the time Stop() joins
-// the IO thread and closes the wake pipe, no task can be left holding a
-// reference to either.
+// The admission slot (inflight_) is held only while the handler runs: a
+// task releases it before writing the response, so a client that reads
+// its answer and sends the next request at once is never shed.
+//
+// Shutdown ordering is the one subtle invariant: a busy connection stays
+// in conns_ until its task hands it back through done_, and the task
+// pushes it and wakes the IO thread under done_mutex_, touching nothing
+// of the server once it releases that lock. The IO loop only exits with
+// conns_ empty, so by the time Stop() joins the IO thread and closes the
+// wake pipe, no task can be left holding a reference to either.
 
 #include "server/server.h"
 
@@ -140,8 +144,9 @@ void HttpServer::Stop() {
   stopping_.store(true);
   Wake();
   io_thread_.join();
-  // The IO loop only exits at inflight_ == 0, so every handler task has
-  // finished; this join is of idle workers only.
+  // The IO loop only exits once every busy connection came back through
+  // done_, so no handler task touches the server any more; this join
+  // waits at most for tasks releasing their captures.
   handler_pool_.reset();
   conns_.clear();
   done_.clear();
@@ -234,6 +239,9 @@ void HttpServer::DispatchRequest(const ConnPtr& conn, HttpRequest request) {
         WallTimer timer;
         queue_span.End();
         HttpResponse response = (*handler)(request);
+        // Release the slot (see the top of this file); the connection
+        // stays busy until done_ hands it back.
+        inflight_.fetch_sub(1, std::memory_order_acq_rel);
         if (request.trace != nullptr) {
           TraceSpan root = request.trace->root();
           root.SetAttr("status", static_cast<int64_t>(response.status));
@@ -252,13 +260,11 @@ void HttpServer::DispatchRequest(const ConnPtr& conn, HttpRequest request) {
             conn->fd,
             SerializeHttpResponse(response, !conn->close_after));
         if (!written.ok()) conn->close_after = true;
-        {
-          std::lock_guard<std::mutex> lock(done_mutex_);
-          done_.push_back(conn);
-          Wake();
-        }
-        // Nothing after this touches the server (shutdown ordering).
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        // Nothing after this block touches the server (shutdown
+        // ordering).
+        std::lock_guard<std::mutex> lock(done_mutex_);
+        done_.push_back(conn);
+        Wake();
       });
 }
 

@@ -14,10 +14,11 @@
 // response straight to the socket and hands the connection back to the
 // IO thread, which resumes parsing any pipelined bytes.
 //
-// Admission control: at most `max_inflight` dispatched-but-unfinished
-// requests. Excess requests are answered 503 (with Retry-After) from the
-// IO thread without touching the pool — the bounded queue that keeps an
-// overloaded server shedding load instead of accumulating it.
+// Admission control: at most `max_inflight` requests whose handler has
+// been dispatched and not yet returned. Excess requests are answered 503
+// (with Retry-After) from the IO thread without touching the pool — the
+// bounded queue that keeps an overloaded server shedding load instead of
+// accumulating it.
 //
 // Graceful drain: Stop() closes the listen socket, lets every dispatched
 // handler finish and write its response, closes all connections, and
@@ -159,7 +160,8 @@ class HttpServer {
   uint16_t port_ = 0;
   std::thread io_thread_;
   // Created at Start(), torn down at Stop() after the IO thread joins
-  // (inflight_ == 0 by then, so every task has finished).
+  // (every busy connection has come back through done_ by then, so no
+  // task touches the server any more).
   std::unique_ptr<ThreadPool> handler_pool_;
 
   std::map<int, ConnPtr> conns_;  // IO-thread-only, keyed by fd

@@ -605,6 +605,11 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
         result->eval->compile_stats.plan_safe ? "safe" : "bounds");
   }
 
+  // The request's resources, fed to both the statement digest and the
+  // slow log: the store's evaluation plus any ?oracle trials.
+  PlanResources resources = result->resources;
+  if (with_oracle) resources.worlds_sampled += oracle.trials;
+
   const double elapsed_ms = wall.ElapsedSeconds() * 1000.0;
   if (options_.track_statements) {
     StatementSample sample;
@@ -614,10 +619,7 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     sample.cache_hit = result->from_cache;
     sample.compiled = result->eval->compiled;
     sample.elapsed_seconds = elapsed_ms / 1000.0;
-    sample.resources = result->resources;
-    if (with_oracle) {
-      sample.resources.worlds_sampled += oracle.trials;
-    }
+    sample.resources = resources;
     const PlanEvaluation& ev = *result->eval;
     switch (ev.kind) {
       case ParsedQuery::Kind::kRelation: {
@@ -648,7 +650,7 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     slow.fingerprint = result->fingerprint;
     slow.epoch = result->epoch;
     slow.elapsed_ms = elapsed_ms;
-    slow.resources = result->resources;
+    slow.resources = resources;
     if (request.trace != nullptr) {
       slow.trace_id = request.trace->trace_id_hex();
       slow.spans_json = SpanSubtreeJson(*request.trace, qspan.index());

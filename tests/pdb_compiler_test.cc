@@ -234,9 +234,6 @@ TEST(CompilerConformanceTest, RandomizedCorpusBracketsOracle) {
       CompileOptions tiny;
       tiny.max_worlds_per_group = 4;
       ExpectCompiledBracketsOracle(*plan, sources, seed * 103, tiny);
-      CompileOptions limited;
-      limited.refine_limit = 1;
-      ExpectCompiledBracketsOracle(*plan, sources, seed * 107, limited);
     }
   }
 }
@@ -379,9 +376,6 @@ TEST(CompilerTest, CacheSuffixSeparatesCompilerConfigurations) {
   EXPECT_NE(CompileCacheSuffix(a), CompileCacheSuffix(b));
   b = a;
   b.max_worlds_per_group = 16;
-  EXPECT_NE(CompileCacheSuffix(a), CompileCacheSuffix(b));
-  b = a;
-  b.refine_limit = 3;
   EXPECT_NE(CompileCacheSuffix(a), CompileCacheSuffix(b));
   b = a;
   b.propagation_only = true;

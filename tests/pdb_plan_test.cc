@@ -682,10 +682,21 @@ TEST(PlanOracleTest, ValidatesInput) {
     EXPECT_FALSE(
         MonteCarloPlanOracle(*bad_join, {&db}, OracleOptions()).ok());
   }
-  // EvaluatePlanInWorld checks choice-vector shape.
+  // EvaluatePlanInWorld checks choice-vector shape...
   EXPECT_FALSE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, {}).ok());
   std::vector<std::vector<int32_t>> bad = {{0}};
   EXPECT_FALSE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, bad).ok());
+  // ...and values: an index past a block's alternatives, or a negative
+  // one other than kNoAlternative, is rejected, not read.
+  std::vector<std::vector<int32_t>> valid(
+      1, std::vector<int32_t>(db.num_blocks(), kNoAlternative));
+  EXPECT_TRUE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, valid).ok());
+  std::vector<std::vector<int32_t>> past_end = valid;
+  past_end[0][0] = static_cast<int32_t>(db.block(0).alternatives.size());
+  EXPECT_FALSE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, past_end).ok());
+  std::vector<std::vector<int32_t>> negative = valid;
+  negative[0][0] = -2;
+  EXPECT_FALSE(EvaluatePlanInWorld(*ScanPlan(0), {&db}, negative).ok());
 }
 
 }  // namespace

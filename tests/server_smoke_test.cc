@@ -535,6 +535,20 @@ TEST_F(ServerSmokeTest, DebugSlowLogsQueriesAboveTheThreshold) {
   EXPECT_NE(slow->body.find("\"spans\":{\"name\":\"query\""),
             std::string::npos);
 
+  // An ?oracle request's entry counts its trials, as its statement
+  // digest does (the plain count plan itself samples no worlds).
+  ASSERT_EQ(client.RoundTrip("POST", "/query?oracle=123", CountPlan())->status,
+            200);
+  slow = client.RoundTrip("GET", "/debug/slow");
+  ASSERT_TRUE(slow.ok());
+  EXPECT_NE(slow->body.find("\"recorded\":2"), std::string::npos)
+      << slow->body;
+  const size_t second = slow->body.rfind("{\"trace_id\":");
+  ASSERT_NE(second, std::string::npos) << slow->body;
+  EXPECT_NE(slow->body.find("\"worlds_sampled\":123}", second),
+            std::string::npos)
+      << slow->body;
+
   // The fixture's own service (threshold 250ms) logged nothing for the
   // fast cached queries above.
   auto fast = Call("GET", "/debug/slow");
