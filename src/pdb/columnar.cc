@@ -7,6 +7,7 @@
 #include "pdb/columnar.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace mrsl {
@@ -172,19 +173,20 @@ void ColumnBatch::Keep(const std::vector<uint32_t>& sel) {
   lineage.Keep(sel);
 }
 
-ColumnBatch ScanToBatch(const ProbDatabase& db, uint32_t source) {
+ColumnBatch ScanToBatch(const ProbDatabase& db, uint32_t source,
+                        const Predicate* pred) {
   ColumnBatch out;
   out.SetSchema(db.schema());
-  size_t total = 0;
-  for (size_t b = 0; b < db.num_blocks(); ++b) {
-    total += db.block(b).alternatives.size();
-  }
-  out.ReserveRows(total);
+  // A selective predicate keeps a small fraction of the alternatives, so
+  // only the unfiltered scan knows its size up front.
+  const bool filtered = pred != nullptr && !pred->atoms().empty();
+  if (!filtered) out.ReserveRows(db.num_alternatives());
   std::vector<uint32_t> one_alt(1);
   for (size_t b = 0; b < db.num_blocks(); ++b) {
     const Block& block = db.block(b);
     for (size_t j = 0; j < block.alternatives.size(); ++j) {
       const Alternative& alt = block.alternatives[j];
+      if (filtered && !pred->Eval(alt.tuple)) continue;
       for (AttrId a = 0; a < out.schema.num_attrs(); ++a) {
         out.cols[a].push_back(alt.tuple.value(a));
       }
@@ -196,6 +198,22 @@ ColumnBatch ScanToBatch(const ProbDatabase& db, uint32_t source) {
     }
   }
   return out;
+}
+
+std::vector<uint32_t> SelectRows(const ColumnBatch& batch,
+                                 const Predicate& pred) {
+  // Each atom sweeps ONE column, refining the selection vector in place.
+  std::vector<uint32_t> sel(batch.num_rows());
+  std::iota(sel.begin(), sel.end(), 0u);
+  for (const PredicateAtom& atom : pred.atoms()) {
+    const std::vector<ValueId>& col = batch.cols[atom.attr];
+    size_t w = 0;
+    for (uint32_t r : sel) {
+      if ((col[r] == atom.value) != atom.negated) sel[w++] = r;
+    }
+    sel.resize(w);
+  }
+  return sel;
 }
 
 PlanResult BatchToPlanResult(ColumnBatch&& batch) {

@@ -10,8 +10,10 @@
 // appending a row's lineage is an amortized-O(1) arena append, never a
 // per-row vector allocation. Operators become sweeps over flat arrays:
 //
-//   * Select is a per-atom predicate sweep producing a selection vector,
-//     applied with one in-place gather (Keep);
+//   * Select over a Scan tests the predicate while scanning, so the rows
+//     it drops are never copied (ScanToBatch with a predicate); over any
+//     other input it is a per-atom predicate sweep producing a selection
+//     vector (SelectRows), applied with one in-place gather (Keep);
 //   * Join hash-builds on a raw key column (BuildKeyIndex) and appends
 //     output column-by-column in batched gather passes;
 //   * Project assigns group ids in one hashing sweep over the projected
@@ -130,8 +132,18 @@ struct ColumnBatch {
 };
 
 /// Leaf batch: every alternative of every block of `db`, block-major —
-/// the same row order as the row evaluator's Scan.
-ColumnBatch ScanToBatch(const ProbDatabase& db, uint32_t source);
+/// the same row order as the row evaluator's Scan. With `pred`, Select
+/// fuses into the scan: only the alternatives satisfying it are copied,
+/// and the batch equals the unfiltered one after
+/// Keep(SelectRows(batch, *pred)) bit for bit. The caller validates
+/// `pred` against db.schema() (cell access is unchecked).
+ColumnBatch ScanToBatch(const ProbDatabase& db, uint32_t source,
+                        const Predicate* pred = nullptr);
+
+/// The predicate sweep: the ascending rows of `batch` that satisfy
+/// `pred`, one column pass per atom — the selection vector Keep applies.
+std::vector<uint32_t> SelectRows(const ColumnBatch& batch,
+                                 const Predicate& pred);
 
 /// Rematerializes the batch as the row representation (done once, at the
 /// plan root). Consumes the batch.

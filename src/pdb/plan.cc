@@ -561,6 +561,16 @@ bool ConjoinRowsToBatch(const ColumnBatch& left, size_t l,
   out->lineage.AppendComposite(s->key_set);
 }
 
+// Predicate::Eval and the column sweep read cells unchecked, so every
+// Select checks its atoms against its input schema first.
+Status ValidatePredicate(const Predicate& pred, const Schema& schema) {
+  if (schema.num_attrs() < kMaxAttributes &&
+      (pred.AttrsTouched() >> schema.num_attrs()) != 0) {
+    return Status::InvalidArgument("select predicate attr out of range");
+  }
+  return Status::OK();
+}
+
 // Per-operator EXPLAIN ANALYZE + resource accounting: stamps the
 // operator span with its input/output cardinalities and the arena
 // footprint of the output lineage, folds the output batch into the
@@ -599,42 +609,25 @@ Result<ColumnBatch> EvalNodeBatch(const PlanNode& node,
 
     case PlanNode::Op::kSelect: {
       TraceSpan span = trace.StartChild("op.select");
-      auto child = EvalNodeBatch(*node.left, sources, span, res);
+      const PlanNode& in = *node.left;
+      if (in.op == PlanNode::Op::kScan) {
+        // Select over Scan fuses: the scan tests the predicate on each
+        // alternative and copies only the rows that pass.
+        MRSL_RETURN_IF_ERROR(ValidateSource(in.source, sources));
+        const ProbDatabase& db = *sources[in.source];
+        MRSL_RETURN_IF_ERROR(ValidatePredicate(node.pred, db.schema()));
+        ColumnBatch out =
+            ScanToBatch(db, static_cast<uint32_t>(in.source), &node.pred);
+        CloseOpSpan(span, db.num_alternatives(), out, res);
+        return out;
+      }
+      auto child = EvalNodeBatch(in, sources, span, res);
       if (!child.ok()) return child.status();
+      MRSL_RETURN_IF_ERROR(ValidatePredicate(node.pred, child->schema));
       const size_t rows_in = child->num_rows();
-      AttrMask touched = node.pred.AttrsTouched();
-      if (child->schema.num_attrs() < kMaxAttributes &&
-          (touched >> child->schema.num_attrs()) != 0) {
-        return Status::InvalidArgument("select predicate attr out of range");
+      if (!node.pred.atoms().empty()) {
+        child->Keep(SelectRows(*child, node.pred));
       }
-      if (node.pred.atoms().empty()) {
-        CloseOpSpan(span, rows_in, *child, res);
-        return child;
-      }
-      // Predicate sweep: each atom scans ONE column, refining the
-      // selection vector; the single gather afterwards applies it.
-      std::vector<uint32_t> sel;
-      bool first = true;
-      for (const PredicateAtom& atom : node.pred.atoms()) {
-        const std::vector<ValueId>& col = child->cols[atom.attr];
-        if (first) {
-          const size_t n = child->num_rows();
-          sel.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            if ((col[r] == atom.value) != atom.negated) {
-              sel.push_back(static_cast<uint32_t>(r));
-            }
-          }
-          first = false;
-        } else {
-          size_t w = 0;
-          for (uint32_t r : sel) {
-            if ((col[r] == atom.value) != atom.negated) sel[w++] = r;
-          }
-          sel.resize(w);
-        }
-      }
-      child->Keep(sel);
       CloseOpSpan(span, rows_in, *child, res);
       return child;
     }
@@ -836,11 +829,7 @@ Result<WalkedNode> PlanWalk(const PlanNode& plan,
                             PlanWalk(*plan.left, sources, literals));
       // Every row-at-a-time path validates plans only through this walk
       // before calling Predicate::Eval, whose cell access is unchecked.
-      AttrMask touched = plan.pred.AttrsTouched();
-      if (out.schema->num_attrs() < kMaxAttributes &&
-          (touched >> out.schema->num_attrs()) != 0) {
-        return Status::InvalidArgument("select predicate attr out of range");
-      }
+      MRSL_RETURN_IF_ERROR(ValidatePredicate(plan.pred, *out.schema));
       out.text = "select(" +
                  (literals ? plan.pred.ToString(*out.schema)
                            : PlaceholderPredicate(plan.pred, *out.schema)) +

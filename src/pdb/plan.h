@@ -127,6 +127,8 @@ Result<std::string> PlanToString(
 /// maxima of the columnar arenas' logical footprint — what one request
 /// holds live at the widest point of the plan, the number admission
 /// control and the statement digests care about. Counters are totals.
+/// A fused Select-over-Scan is one operator: the unfiltered scan is never
+/// materialized, so it counts toward neither peaks nor lineage_events.
 /// Deterministic for a fixed (epoch, plan): derived from element
 /// counts, never allocator capacities. Accounting never influences
 /// evaluation — results are bit-identical with or without it.
@@ -161,6 +163,8 @@ struct PlanResult {
 
 /// Bottom-up extensional evaluation of `plan` over `sources`. This is
 /// the production path: it runs on columnar batches (pdb/columnar.h) —
+/// a Select directly over a Scan fused into the scan (the predicate is
+/// tested per alternative, so dropped rows are never copied), any other
 /// Select as a predicate sweep over one column per atom, Join as a hash
 /// build on a raw key column with batched output gathers, Project as a
 /// group-id sweep plus one disjoin pass — and materializes rows only at
@@ -169,9 +173,10 @@ struct PlanResult {
 ///
 /// `trace` (when active) receives one child span per plan operator
 /// ("op.scan" / "op.select" / "op.project" / "op.join") with rows-in /
-/// rows-out / lineage-size attributes — the EXPLAIN ANALYZE feed. The
-/// spans never influence evaluation: traced and untraced runs are
-/// bit-identical.
+/// rows-out / lineage-size attributes — the EXPLAIN ANALYZE feed. A
+/// fused Select-over-Scan records one "op.select" span whose rows_in is
+/// the scanned alternatives, and no "op.scan" child. The spans never
+/// influence evaluation: traced and untraced runs are bit-identical.
 ///
 /// `resources` (when non-null) accumulates per-operator peaks and
 /// counters (see PlanResources) — the workload-analytics feed. Like the

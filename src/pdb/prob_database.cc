@@ -65,6 +65,7 @@ Status ProbDatabase::AddSharedBlock(std::shared_ptr<const Block> block) {
     return Status::InvalidArgument("block mass exceeds 1: " +
                                    FormatDouble(mass, 6));
   }
+  num_alternatives_ += block->alternatives.size();
   blocks_.push_back(std::move(block));
   return Status::OK();
 }

@@ -68,6 +68,8 @@ class ProbDatabase {
 
   const Schema& schema() const { return schema_; }
   size_t num_blocks() const { return blocks_.size(); }
+  /// Alternatives summed over every block (the rows a scan produces).
+  size_t num_alternatives() const { return num_alternatives_; }
   const Block& block(size_t i) const { return *blocks_[i]; }
 
   /// The shared handle of block `i`, for structural sharing across
@@ -115,6 +117,7 @@ class ProbDatabase {
  private:
   Schema schema_;
   std::vector<std::shared_ptr<const Block>> blocks_;
+  size_t num_alternatives_ = 0;
 };
 
 }  // namespace mrsl

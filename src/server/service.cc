@@ -141,13 +141,6 @@ std::string RenderQueryBody(const StoreQueryResult& result,
 
 }  // namespace
 
-struct StoreService::PendingQuery {
-  std::string text;
-  TraceSpan span;  // this request's "query" span (usually inert)
-  Result<StoreQueryResult> result = Status::Internal("not evaluated");
-  bool done = false;
-};
-
 struct StoreService::PendingUpdate {
   RelationDelta delta;
   uint64_t expected_epoch = 0;
@@ -225,10 +218,6 @@ void StoreService::Attach(HttpServer* server) {
   m_.stage_parse = stage("parse");
   m_.stage_evaluate = stage("evaluate");
   m_.stage_combine = stage("combine");
-  m_.query_batch_size =
-      reg.GetHistogram("mrsl_query_batch_size",
-                       "Plans per pinned-snapshot batch group.",
-                       {1, 2, 4, 8, 16, 32, 64, 128});
   m_.compile_seconds =
       reg.GetHistogram("mrsl_compile_seconds",
                        "Wall time in CompileQuery (cache misses only).",
@@ -266,52 +255,6 @@ void StoreService::Attach(HttpServer* server) {
 
 uint64_t StoreService::queries_served() const {
   return m_.queries == nullptr ? 0 : m_.queries->value();
-}
-
-Result<StoreQueryResult> StoreService::BatchedQuery(const std::string& text,
-                                                    TraceSpan span) {
-  auto mine = std::make_shared<PendingQuery>();
-  mine->text = text;
-  mine->span = span;
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  batch_queue_.push_back(mine);
-  // Leadership rotates per drained group: a leader evaluates ONE group
-  // (which contains its own entry whenever fewer than max_batch entries
-  // are ahead of it), releases leadership, and returns as soon as its
-  // entry is done. Under sustained load the next waiter leads the next
-  // group, so no request's response is delayed behind later arrivals.
-  for (;;) {
-    if (mine->done) return std::move(mine->result);
-    if (leader_active_) {
-      batch_cv_.wait(lock);
-      continue;
-    }
-    leader_active_ = true;
-    const size_t group_size =
-        batch_queue_.size() < options_.max_batch ? batch_queue_.size()
-                                                 : options_.max_batch;
-    std::vector<std::shared_ptr<PendingQuery>> group(
-        batch_queue_.begin(), batch_queue_.begin() + group_size);
-    batch_queue_.erase(batch_queue_.begin(),
-                       batch_queue_.begin() + group_size);
-    lock.unlock();
-
-    // One pinned snapshot, one PlanCache-aware pass, for the whole
-    // group: a commit landing mid-group never splits it across epochs.
-    // Followers' spans ride along: the leader evaluates their entries,
-    // and TraceContext is thread-safe, so the leader's thread may record
-    // spans into a follower's trace.
-    const SnapshotPtr snap = store_->snapshot();
-    for (const auto& p : group) {
-      p->result = store_->QueryOn(snap, p->text, nullptr, p->span);
-    }
-    m_.query_batch_size->Observe(static_cast<double>(group.size()));
-
-    lock.lock();
-    for (const auto& p : group) p->done = true;
-    leader_active_ = false;
-    batch_cv_.notify_all();
-  }
 }
 
 void StoreService::ObserveQueryStages(const QueryStageTimes& stages,
@@ -416,9 +359,10 @@ Result<CommitStats> StoreService::BatchedUpdate(RelationDelta delta,
   mine->span = trace;
   std::unique_lock<std::mutex> lock(update_mutex_);
   update_queue_.push_back(mine);
-  // Same leader rotation as BatchedQuery: one leader commits ONE drained
+  // Leadership rotates per drained group: one leader commits ONE drained
   // group (fsync included), releases leadership, and returns once its
-  // own entry is done.
+  // own entry is done. Under sustained load the next waiter leads the
+  // next group, so no writer is delayed behind later arrivals.
   for (;;) {
     if (mine->done) return std::move(mine->result);
     if (update_leader_active_) {
@@ -522,33 +466,26 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     qspan = request.trace->root().StartChild("query");
   }
 
-  Result<StoreQueryResult> result = Status::Internal("unreachable");
+  // Every query pins its own snapshot on its handler thread, so
+  // concurrent queries evaluate in parallel; the oracle samples the very
+  // snapshot the answer came from.
+  const SnapshotPtr snap = store_->snapshot();
+  Result<StoreQueryResult> result =
+      store_->QueryOn(snap, text, with_compile ? &copts : nullptr, qspan);
   OracleResult oracle;
   const bool with_oracle = oracle_trials > 0;
-  if (with_oracle || with_compile || explicit_trace) {
-    // The oracle needs the evaluation's own snapshot, compiled queries
-    // carry per-request options the batcher cannot share, and an
-    // explicit ?trace=1 wants its own span tree rather than a ride on a
-    // leader's batch — all three pin a snapshot themselves instead of
-    // riding the batcher.
-    SnapshotPtr snap = store_->snapshot();
-    result =
-        store_->QueryOn(snap, text, with_compile ? &copts : nullptr, qspan);
-    if (result.ok() && with_oracle) {
-      OracleOptions oo;
-      oo.trials = static_cast<size_t>(oracle_trials);
-      TraceSpan ospan = qspan.StartChild("oracle");
-      auto estimated =
-          MonteCarloPlanOracle(*result->plan, {&snap->database()}, oo);
-      if (ospan.active()) {
-        ospan.SetAttr("trials", oracle_trials);
-        ospan.End();
-      }
-      if (!estimated.ok()) return JsonError(estimated.status());
-      oracle = std::move(estimated).value();
+  if (result.ok() && with_oracle) {
+    OracleOptions oo;
+    oo.trials = static_cast<size_t>(oracle_trials);
+    TraceSpan ospan = qspan.StartChild("oracle");
+    auto estimated =
+        MonteCarloPlanOracle(*result->plan, {&snap->database()}, oo);
+    if (ospan.active()) {
+      ospan.SetAttr("trials", oracle_trials);
+      ospan.End();
     }
-  } else {
-    result = BatchedQuery(text, qspan);
+    if (!estimated.ok()) return JsonError(estimated.status());
+    oracle = std::move(estimated).value();
   }
   qspan.End();
   if (!result.ok()) {

@@ -32,7 +32,7 @@
 //   GET  /snapshot   the current epoch as snapshot_io bytes.
 //   GET  /healthz    liveness + current epoch + library version.
 //   GET  /metrics    Prometheus text: the server's per-endpoint series
-//                    plus this service's batch/cache/commit series.
+//                    plus this service's query/cache/commit series.
 //   GET  /debug/traces  recent completed traces from the process-wide
 //                    TraceStore ring (?trace=1 forces one; --trace-sample
 //                    samples in the background). `?format=chrome` renders
@@ -49,25 +49,22 @@
 // field is byte-identical to the untraced response — the trace never
 // joins the plan-cache key and spans never influence evaluation.
 //
-// Query batching: handler tasks enqueue their plan text and, when no
-// leader is active, one of them becomes the batch leader. The leader
-// drains ONE group (up to max_batch entries), pins ONE snapshot, and
-// answers every entry through BidStore::QueryOn on it — so concurrent
-// /query requests resolve against one consistent epoch and share one
-// PlanCache-aware pass — then releases leadership and returns as soon
-// as its own entry is answered. Under sustained load the next waiter
-// leads the next group (no request is delayed behind later arrivals);
-// no dedicated batching thread exists, so an idle server burns
-// nothing.
+// Query concurrency: each /query pins store->snapshot() on its own
+// handler thread and answers through ONE BidStore::QueryOn call, so
+// concurrent queries evaluate in parallel and each resolves against one
+// consistent epoch (a commit landing mid-query never splits it). The
+// PlanCache, the StatementStore and the metric handles are safe for
+// concurrent use; two concurrent misses on one text may both evaluate,
+// and PlanCache::Insert keeps one.
 //
-// Update group commit: /update requests batch the same way on a
-// separate lane. The commit leader drains one group, merges every
-// insert-only unpinned delta into ONE combined commit (one epoch, one
-// re-derivation), applies the remaining epoch-guarded deltas
-// individually, then issues ONE BidStore::SyncWal for the whole group —
-// so N concurrent writers cost one fsync, and nobody sees HTTP 200
-// before the fsync that covers their record returned. Without a WAL the
-// sync is a no-op and the batching still amortizes commit overhead.
+// Update group commit: /update requests batch into groups. One commit
+// leader at a time drains one group, merges every insert-only unpinned
+// delta into ONE combined commit (one epoch, one re-derivation),
+// applies the remaining epoch-guarded deltas individually, then issues
+// ONE BidStore::SyncWal for the whole group — so N concurrent writers
+// cost one fsync, and nobody sees HTTP 200 before the fsync that covers
+// their record returned. Without a WAL the sync is a no-op and the
+// batching still amortizes commit overhead.
 
 #ifndef MRSL_SERVER_SERVICE_H_
 #define MRSL_SERVER_SERVICE_H_
@@ -87,10 +84,6 @@
 namespace mrsl {
 
 struct StoreServiceOptions {
-  /// Cap on plans evaluated per drained batch group (keeps one leader
-  /// pass from starving its own followers behind a huge group).
-  size_t max_batch = 64;
-
   /// Cap on deltas committed per drained update group — the group-commit
   /// unit: one leader drains a group, commits it, and issues ONE WAL
   /// fsync for all of it before anyone is acknowledged.
@@ -144,7 +137,7 @@ class StoreService {
   /// registry. Call before server->Start().
   void Attach(HttpServer* server);
 
-  /// Queries evaluated since Attach (batched + solo), for tests.
+  /// Queries evaluated since Attach, for tests.
   uint64_t queries_served() const;
 
   /// Group commit: enqueues the delta, runs or joins the commit leader,
@@ -163,7 +156,6 @@ class StoreService {
   StatementStore* statements() { return &statements_; }
 
  private:
-  struct PendingQuery;
   struct PendingUpdate;
 
   HttpResponse HandleQuery(const HttpRequest& request);
@@ -175,13 +167,6 @@ class StoreService {
   HttpResponse HandleDebugSlow(const HttpRequest& request);
   HttpResponse HandleDebugStatements(const HttpRequest& request);
   HttpResponse HandleDebugStatementsReset(const HttpRequest& request);
-
-  /// Enqueues `text`, runs or joins the batch leader, returns this
-  /// query's result (see the batching note above). `span` (usually
-  /// inert) rides the queue entry, so a sampled request traced through
-  /// the batcher still records its parse/evaluate/combine spans.
-  Result<StoreQueryResult> BatchedQuery(const std::string& text,
-                                        TraceSpan span = TraceSpan());
 
   /// Appends one entry to the /debug/slow ring (capacity 32, oldest
   /// evicted) and bumps mrsl_slow_queries_total.
@@ -214,7 +199,6 @@ class StoreService {
     Histogram* stage_parse = nullptr;
     Histogram* stage_evaluate = nullptr;
     Histogram* stage_combine = nullptr;
-    Histogram* query_batch_size = nullptr;
     Histogram* compile_seconds = nullptr;
     Histogram* bounds_width = nullptr;
     Counter* slow_queries = nullptr;
@@ -228,13 +212,8 @@ class StoreService {
   };
   MetricHandles m_;
 
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  bool leader_active_ = false;
-  std::vector<std::shared_ptr<PendingQuery>> batch_queue_;
-
-  // The update (group-commit) batcher — same leader rotation as the
-  // query batcher, separate lane so commits never wait behind reads.
+  // The update (group-commit) batcher: one leader at a time drains and
+  // commits a group; queries never wait behind it.
   std::mutex update_mutex_;
   std::condition_variable update_cv_;
   bool update_leader_active_ = false;

@@ -1,8 +1,8 @@
 // Unit tests for the columnar batch primitives (pdb/columnar.h): the
 // CSR lineage table's append/materialize/gather operations, scan
-// layout, empty batches, full-filter selections, duplicate join keys
-// in the hash index, group-id assignment order, and small end-to-end
-// fixtures holding the batch evaluator to exact equality with the row
+// layout, the Select-over-Scan fusion, empty batches, full-filter
+// selections, duplicate join keys in the hash index, group-id
+// assignment order, and small end-to-end fixtures holding the batch evaluator to exact equality with the row
 // reference.
 
 #include "pdb/columnar.h"
@@ -178,6 +178,88 @@ TEST(ColumnBatchTest, FullFilterSelectionYieldsEmptyResult) {
   auto empty_proj = EvaluatePlan(*projected, sources);
   ASSERT_TRUE(empty_proj.ok());
   EXPECT_TRUE(empty_proj->rows.empty());
+}
+
+// Three attributes, six blocks of one to four alternatives, values
+// repeated across blocks, one alternative a hair over probability 1 (the
+// scan clamps it).
+ProbDatabase ThreeAttrDb() {
+  auto s = Schema::Create({Attribute("x", {"x0", "x1"}),
+                           Attribute("y", {"y0", "y1", "y2"}),
+                           Attribute("z", {"z0", "z1", "z2", "z3"})});
+  EXPECT_TRUE(s.ok());
+  ProbDatabase db(std::move(s).value());
+  const std::vector<std::vector<Alternative>> blocks = {
+      {{Tuple({0, 0, 0}), 1.0 + 1e-12}},
+      {{Tuple({0, 1, 2}), 0.25}, {Tuple({1, 1, 3}), 0.5}},
+      {{Tuple({1, 2, 0}), 0.1}, {Tuple({0, 0, 1}), 0.2},
+       {Tuple({1, 0, 2}), 0.3}, {Tuple({0, 2, 3}), 0.4}},
+      {{Tuple({1, 1, 1}), 0.6}},
+      {{Tuple({0, 0, 2}), 0.7}, {Tuple({1, 2, 2}), 0.3}},
+      {{Tuple({1, 0, 0}), 0.05}, {Tuple({0, 1, 1}), 0.15},
+       {Tuple({1, 2, 3}), 0.35}},
+  };
+  for (const std::vector<Alternative>& alts : blocks) {
+    Block b;
+    b.alternatives = alts;
+    EXPECT_TRUE(db.AddBlock(b).ok());
+  }
+  return db;
+}
+
+void ExpectBatchesIdentical(const ColumnBatch& got, const ColumnBatch& want) {
+  EXPECT_EQ(got.schema.num_attrs(), want.schema.num_attrs());
+  EXPECT_EQ(got.safe, want.safe);
+  EXPECT_EQ(got.cols, want.cols);
+  // Exact vector equality: the doubles must match bit for bit.
+  EXPECT_EQ(got.lo, want.lo);
+  EXPECT_EQ(got.hi, want.hi);
+  const LineageTable& g = got.lineage;
+  const LineageTable& w = want.lineage;
+  EXPECT_EQ(g.keys, w.keys);
+  EXPECT_EQ(g.key_off, w.key_off);
+  EXPECT_EQ(g.simple, w.simple);
+  EXPECT_EQ(g.source, w.source);
+  EXPECT_EQ(g.block, w.block);
+  EXPECT_EQ(g.alts, w.alts);
+  EXPECT_EQ(g.alt_off, w.alt_off);
+  EXPECT_EQ(got.ByteSize(), want.ByteSize());
+}
+
+TEST(ColumnBatchTest, FusedScanEqualsScanThenSweepThenKeep) {
+  ProbDatabase db = ThreeAttrDb();
+  ProbDatabase empty(db.schema());
+  struct Case {
+    const char* name;
+    Predicate pred;
+    size_t rows;  // expected survivors on ThreeAttrDb
+  };
+  const std::vector<Case> cases = {
+      {"eq", Predicate::Eq(1, 0), 5},
+      {"ne", Predicate::Ne(2, 2), 9},
+      {"three_atoms",
+       Predicate::Eq(0, 1).And(Predicate::Ne(1, 1)).And(Predicate::Ne(2, 3)),
+       4},
+      {"matches_nothing", Predicate::Eq(0, 0).And(Predicate::Eq(0, 1)), 0},
+      {"always_true", Predicate(), 13},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const ProbDatabase* source : {&db, &empty}) {
+      ColumnBatch want = ScanToBatch(*source, /*source=*/1);
+      EXPECT_EQ(want.num_rows(), source->num_alternatives());
+      want.Keep(SelectRows(want, c.pred));
+      ColumnBatch got = ScanToBatch(*source, /*source=*/1, &c.pred);
+      EXPECT_EQ(got.num_rows(), source == &db ? c.rows : 0u);
+      ExpectBatchesIdentical(got, want);
+    }
+  }
+  // The clamped alternative keeps its clamped probability when fused.
+  const Predicate first = Predicate::Eq(2, 0).And(Predicate::Eq(1, 0));
+  ColumnBatch clamped = ScanToBatch(db, 0, &first);
+  ASSERT_EQ(clamped.num_rows(), 2u);
+  EXPECT_EQ(clamped.lo[0], 1.0);
+  EXPECT_EQ(clamped.lineage.MaterializeRow(1).block, 5u);
 }
 
 TEST(BuildKeyIndexTest, DuplicateKeysAccumulateInRowOrder) {

@@ -671,6 +671,20 @@ TEST(PlanOracleTest, ValidatesInput) {
   EXPECT_FALSE(PlanOutputSchema(*bad_pred, {&db}).ok());
   EXPECT_FALSE(MonteCarloPlanOracle(*bad_pred, {&db}, OracleOptions()).ok());
   EXPECT_FALSE(EvaluatePlan(*bad_pred, {&db}).ok());
+  // The columnar evaluator fuses Select into Scan; the fused path still
+  // validates the source first and the predicate second, with the same
+  // messages as a Select over any other input.
+  auto fused_bad_attr = EvaluatePlan(
+      *SelectPlan(Predicate::Eq(9, 0), ScanPlan(0)), {&db});
+  ASSERT_FALSE(fused_bad_attr.ok());
+  EXPECT_EQ(fused_bad_attr.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fused_bad_attr.status().message(),
+            "select predicate attr out of range");
+  auto fused_bad_source = EvaluatePlan(
+      *SelectPlan(Predicate::Eq(9, 0), ScanPlan(2)), {&db});
+  ASSERT_FALSE(fused_bad_source.ok());
+  EXPECT_EQ(fused_bad_source.status().message(),
+            "scan source out of range: 2");
   // So must a join attribute outside either child's schema, on every
   // evaluation path.
   for (const PlanPtr& bad_join : {JoinPlan(ScanPlan(0), ScanPlan(0), 7, 0),

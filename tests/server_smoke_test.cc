@@ -367,7 +367,6 @@ TEST_F(ServerSmokeTest, MetricsExposePerEndpointSeries) {
             std::string::npos);
   EXPECT_NE(text.find("mrsl_query_cache_total{result=\"miss\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("mrsl_query_batch_size_count"), std::string::npos);
   EXPECT_NE(text.find("mrsl_build_info{version=\"" MRSL_VERSION_STRING
                       "\"} 1"),
             std::string::npos);
