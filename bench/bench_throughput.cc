@@ -1,7 +1,7 @@
 // Serving-style throughput benchmark for the persistent engine: one
 // long-lived Engine per thread configuration replays a mixed request
-// stream — single-hole batches, multi-hole Gibbs batches, and lazy
-// query-driven derivation — and reports tuples/sec vs. thread count.
+// stream — single-hole batches, multi-hole Gibbs batches, and chunked
+// whole-relation derivation — and reports tuples/sec vs. thread count.
 // Unlike the per-figure drivers, this measures the steady state the
 // ROADMAP targets: warm per-thread contexts, no per-request thread or
 // cache construction, and bit-identical output for every pool width.
@@ -15,7 +15,6 @@
 #include "core/engine.h"
 #include "core/learner.h"
 #include "expfw/networks.h"
-#include "pdb/lazy.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -81,27 +80,24 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(req));
   }
 
-  // The lazy, query-driven share of the stream: an incomplete relation
-  // plus point predicates whose uncertain rows get batch-materialized.
-  Relation lazy_rel(train.schema());
+  // The derivation share of the stream: an incomplete relation whose
+  // incomplete rows are derived `batch_size` at a time (InferChunked).
+  Relation derive_rel(train.schema());
   Rng lrng(0x7B33);
   for (size_t i = 0; i < (flags.full ? 1200u : 400u); ++i) {
     Tuple t = bn.ForwardSample(&lrng);
     if (lrng.Bernoulli(0.5)) {
       t.set_value(static_cast<AttrId>(lrng.UniformInt(6)), kMissingValue);
     }
-    if (!lazy_rel.Append(std::move(t)).ok()) return 1;
+    if (!derive_rel.Append(std::move(t)).ok()) return 1;
   }
-  std::vector<Predicate> lazy_preds;
-  for (AttrId a = 0; a < 3; ++a) {
-    lazy_preds.push_back(Predicate::Eq(a, 0));
-  }
+  const size_t derive_tuples = derive_rel.IncompleteRowIndices().size();
 
   TablePrinter table({"threads", "wall (s)", "tuples/s", "speedup",
                       "identical output"});
   std::vector<bench::JsonObject> json_rows;
-  std::vector<std::vector<double>> reference;  // flattened batch probs
-  std::vector<double> reference_lazy;          // lazy row probabilities
+  // Flattened probabilities per batch; the derivation is the last entry.
+  std::vector<std::vector<double>> reference;
   double base_secs = 0.0;
   double speedup_at_8 = 0.0;
 
@@ -111,8 +107,13 @@ int main(int argc, char** argv) {
     Engine engine(&*model, eo);
 
     std::vector<std::vector<double>> outputs;
-    std::vector<double> lazy_outputs;
-    size_t lazy_tuples = 0;
+    const auto flatten = [&outputs](const std::vector<JointDist>& dists) {
+      std::vector<double> flat;
+      for (const JointDist& d : dists) {
+        flat.insert(flat.end(), d.probs().begin(), d.probs().end());
+      }
+      outputs.push_back(std::move(flat));
+    };
     WallTimer timer;
 
     // Phase 1+2: batched single-hole / multi-hole inference.
@@ -123,42 +124,30 @@ int main(int argc, char** argv) {
                      dists.status().ToString().c_str());
         return 1;
       }
-      std::vector<double> flat;
-      for (const JointDist& d : *dists) {
-        flat.insert(flat.end(), d.probs().begin(), d.probs().end());
-      }
-      outputs.push_back(std::move(flat));
+      flatten(*dists);
     }
 
-    // Phase 3: lazy query-driven derivation, batch-materialized.
-    {
-      LazyDeriver lazy(&engine, &lazy_rel, opts.gibbs);
-      for (const Predicate& pred : lazy_preds) {
-        auto n = lazy.MaterializeUncertain(pred, batch_size);
-        if (!n.ok()) {
-          std::fprintf(stderr, "lazy failed: %s\n",
-                       n.status().ToString().c_str());
-          return 1;
-        }
-        auto count = lazy.ExpectedCount(pred);
-        if (!count.ok()) return 1;
-        lazy_outputs.push_back(*count);
-      }
-      lazy_tuples = lazy.materialized();
+    // Phase 3: whole-relation derivation, batch_size rows per chunk.
+    auto derived = engine.DeriveBatch(derive_rel, SamplingMode::kTupleDag,
+                                      opts, batch_size);
+    if (!derived.ok()) {
+      std::fprintf(stderr, "derive failed: %s\n",
+                   derived.status().ToString().c_str());
+      return 1;
     }
+    flatten(*derived);
 
     const double secs = timer.ElapsedSeconds();
-    const size_t total_tuples = batch_tuples + lazy_tuples;
+    const size_t total_tuples = batch_tuples + derive_tuples;
     const double tuples_per_sec =
         static_cast<double>(total_tuples) / secs;
 
     bool identical = true;
     if (threads == 1) {
       reference = outputs;
-      reference_lazy = lazy_outputs;
       base_secs = secs;
     } else {
-      identical = outputs == reference && lazy_outputs == reference_lazy;
+      identical = outputs == reference;
     }
     const double speedup = base_secs / secs;
     if (threads == 8) speedup_at_8 = speedup;
@@ -191,7 +180,7 @@ int main(int argc, char** argv) {
         .SetInt("batch_size", batch_size)
         .SetInt("samples", opts.gibbs.samples)
         .SetInt("burn_in", opts.gibbs.burn_in)
-        .SetInt("lazy_rows", lazy_rel.num_rows())
+        .SetInt("derive_rows", derive_rel.num_rows())
         .SetNum("speedup_at_8_threads", speedup_at_8)
         .SetArray("rows", json_rows)
         .WriteTo(flags.json_path);
@@ -199,7 +188,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nFINDING: one persistent Engine serves a mixed stream (single-\n"
-      "hole, multi-hole Gibbs, lazy query-driven) with warm per-thread\n"
+      "hole, multi-hole Gibbs, chunked derivation) with warm per-thread\n"
       "contexts and bit-identical output at every pool width; throughput\n"
       "scales with threads up to the component granularity and the\n"
       "machine's core count.\n");

@@ -15,7 +15,8 @@
 #include "core/learner.h"
 #include "core/repair.h"
 #include "core/workload.h"
-#include "pdb/lazy.h"
+#include "pdb/plan.h"
+#include "pdb/store.h"
 #include "relational/discretizer.h"
 #include "relational/join.h"
 #include "util/rng.h"
@@ -132,7 +133,9 @@ int main() {
       rstats.repaired, rstats.mean_confidence, rstats.skipped_low_conf,
       ropts.min_confidence);
 
-  // ---- 4b. Lazy cohort query over the *unrepaired* data ----
+  // ---- 4b. Cohort query over the *unrepaired* data ----
+  // Derive the BID database into a store and ask the plan algebra
+  // count(select(glucose=<top> & ageband=senior; scan)).
   AttrId glucose_id = 0;
   AttrId age_id = 0;
   model->schema().FindAttr("glucose", &glucose_id);
@@ -143,19 +146,22 @@ int main() {
   ValueId senior = model->schema().attr(age_id).Find("senior");
   if (top_glucose == kMissingValue || senior == kMissingValue) return 1;
 
-  GibbsOptions gibbs;
-  gibbs.samples = 600;
-  gibbs.burn_in = 80;
+  StoreOptions sopts;
+  sopts.workload.gibbs.samples = 600;
+  sopts.workload.gibbs.burn_in = 80;
   Engine engine(&*model);
-  LazyDeriver lazy(&engine, &*joined, gibbs);
+  BidStore store(&engine, sopts);
+  if (!store.Commit(*joined).ok()) return 1;
+  const SnapshotPtr snap = store.snapshot();
   Predicate risky =
       Predicate::Eq(glucose_id, top_glucose).And(Predicate::Eq(age_id, senior));
-  auto count = lazy.ExpectedCount(risky);
+  auto select =
+      PlanToString(*SelectPlan(risky, ScanPlan()), {&snap->database()});
+  if (!select.ok()) return 1;
+  auto count = store.QueryOn(snap, "count(" + *select + ")");
   if (!count.ok()) return 1;
-  std::printf(
-      "lazy query %s: expected %.1f of %zu visits "
-      "(materialized Δt for %zu tuples, short-circuited %zu rows)\n",
-      risky.ToString(model->schema()).c_str(), *count, joined->num_rows(),
-      lazy.materialized(), lazy.short_circuits());
+  std::printf("cohort %s: expected %.1f of %zu visits\n",
+              count->canonical_text.c_str(), count->eval->count.expected.lo,
+              joined->num_rows());
   return 0;
 }

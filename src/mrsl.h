@@ -53,7 +53,6 @@
 #include "core/workload.h"      // IWYU pragma: export
 
 // Probabilistic database.
-#include "pdb/lazy.h"           // IWYU pragma: export
 #include "pdb/plan.h"           // IWYU pragma: export
 #include "pdb/plan_cache.h"     // IWYU pragma: export
 #include "pdb/prob_database.h"  // IWYU pragma: export

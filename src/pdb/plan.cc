@@ -41,9 +41,22 @@ using plan_internal::DisjoinEvents;
 using plan_internal::Event;
 using plan_internal::EventRef;
 using plan_internal::KeysIntersect;
-using plan_internal::PoissonBinomial;
 using plan_internal::UnionKeys;
 using plan_internal::ValidateSource;
+
+// Poisson-binomial DP: entry k is P(exactly k of the independent
+// Bernoulli(qs[i]) events occur).
+std::vector<double> PoissonBinomial(const std::vector<double>& qs) {
+  std::vector<double> dist(1, 1.0);
+  for (double q : qs) {
+    dist.push_back(0.0);
+    for (size_t k = dist.size() - 1; k > 0; --k) {
+      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
+    }
+    dist[0] *= (1.0 - q);
+  }
+  return dist;
+}
 
 }  // namespace
 
@@ -1073,7 +1086,10 @@ Status ParseError(const ParseContext& ctx, std::string_view where,
 }
 
 // Splits the argument list of "op( ... )" on top-level ';', respecting
-// nested parentheses. `text` excludes the outer parens.
+// nested parentheses. `text` excludes the outer parens. Brackets nest
+// like parentheses and either kind closes either, so the half-open
+// interval labels of relational/discretizer.h ("[1.5,3.0)") stay
+// balanced and PlanToString's output parses back.
 Result<std::vector<std::string_view>> SplitArgs(std::string_view text,
                                                 const ParseContext& ctx) {
   std::vector<std::string_view> args;
@@ -1081,11 +1097,12 @@ Result<std::vector<std::string_view>> SplitArgs(std::string_view text,
   size_t start = 0;
   for (size_t i = 0; i < text.size(); ++i) {
     char c = text[i];
-    if (c == '(') ++depth;
-    if (c == ')') {
+    if (c == '(' || c == '[') ++depth;
+    if (c == ')' || c == ']') {
       --depth;
       if (depth < 0) {
-        return ParseError(ctx, text.substr(i), "unbalanced ')'");
+        return ParseError(ctx, text.substr(i),
+                          std::string("unbalanced '") + c + "'");
       }
     }
     if (c == ';' && depth == 0) {

@@ -38,11 +38,13 @@
 namespace mrsl {
 
 /// One fully evaluated query, every payload the CLI/serving path needs.
-/// Which members are meaningful depends on `kind`.
+/// Which members are meaningful depends on `kind`. The evaluated rows
+/// are not kept: once the store has taken their touched blocks, readers
+/// need only the answer.
 struct PlanEvaluation {
   ParsedQuery::Kind kind = ParsedQuery::Kind::kRelation;
-  PlanResult result;                         // kRelation (also kExists/kCount
-                                             // when the caller evaluated it)
+  Schema schema;                             // PlanResult::schema
+  bool safe = true;                          // PlanResult::safe
   std::vector<DistinctMarginal> marginals;   // kRelation
   ExistsResult exists;                       // kExists
   CountResult count;                         // kCount

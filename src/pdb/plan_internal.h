@@ -1,8 +1,7 @@
 // Lineage helpers and the row-at-a-time plan skeleton shared by the
 // plan evaluators (pdb/plan.cc), the safe-plan compiler
-// (pdb/compiler.cc), the fingerprinter (pdb/fingerprint.cc) and the lazy
-// deriver (pdb/lazy.cc). Internal to src/pdb: not part of the library's
-// public surface.
+// (pdb/compiler.cc) and the fingerprinter (pdb/fingerprint.cc). Internal
+// to src/pdb: not part of the library's public surface.
 
 #ifndef MRSL_PDB_PLAN_INTERNAL_H_
 #define MRSL_PDB_PLAN_INTERNAL_H_
@@ -170,20 +169,6 @@ inline PlanRow ScanRow(const ProbDatabase& db, size_t source, size_t b,
   row.lineage.alts = {static_cast<uint32_t>(j)};
   row.lineage.blocks = {Lineage::BlockKey(static_cast<uint32_t>(source), b)};
   return row;
-}
-
-// Poisson-binomial DP: entry k is P(exactly k of the independent
-// Bernoulli(qs[i]) events occur).
-inline std::vector<double> PoissonBinomial(const std::vector<double>& qs) {
-  std::vector<double> dist(1, 1.0);
-  for (double q : qs) {
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
-  }
-  return dist;
 }
 
 inline Status ValidateSource(size_t source,

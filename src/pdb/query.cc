@@ -1,5 +1,4 @@
-// Predicates are conjunctions of =/!= atoms with a three-valued
-// EvalPartial so callers can decide rows on observed cells alone.
+// Predicates are conjunctions of =/!= atoms.
 // SampleWorldChoices draws one possible world per call: each block
 // independently picks an alternative or, with its absent mass, nothing.
 
@@ -31,20 +30,6 @@ bool Predicate::Eval(const Tuple& t) const {
     if (eq == a.negated) return false;
   }
   return true;
-}
-
-Predicate::Tri Predicate::EvalPartial(const Tuple& t) const {
-  bool unknown = false;
-  for (const PredicateAtom& a : atoms_) {
-    ValueId v = t.value(a.attr);
-    if (v == kMissingValue) {
-      unknown = true;
-      continue;
-    }
-    bool eq = v == a.value;
-    if (eq == a.negated) return Tri::kFalse;  // decided false already
-  }
-  return unknown ? Tri::kUnknown : Tri::kTrue;
 }
 
 AttrMask Predicate::AttrsTouched() const {

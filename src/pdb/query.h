@@ -41,13 +41,6 @@ class Predicate {
   /// Evaluates against a complete tuple.
   bool Eval(const Tuple& t) const;
 
-  /// Three-valued evaluation against a possibly incomplete tuple:
-  /// kTrue/kFalse when every needed cell is assigned and decides the
-  /// outcome, kUnknown when a missing cell could flip it. Drives the
-  /// lazy query-targeted derivation (see pdb/lazy.h).
-  enum class Tri { kFalse, kTrue, kUnknown };
-  Tri EvalPartial(const Tuple& t) const;
-
   /// Bitmask of the attributes this predicate reads.
   AttrMask AttrsTouched() const;
 

@@ -23,11 +23,6 @@
 
 namespace mrsl {
 
-const JointDist* StoreSnapshot::FindDist(const Tuple& t) const {
-  auto it = dist_index_.find(t);
-  return it == dist_index_.end() ? nullptr : it->second.get();
-}
-
 BidStore::BidStore(Engine* engine, StoreOptions options)
     : engine_(engine),
       options_(std::move(options)),
@@ -301,10 +296,34 @@ Result<StoreQueryResult> BidStore::Query(
   return QueryOn(snapshot(), plan_text, &compile_options);
 }
 
+namespace {
+
+// The Monte-Carlo cross-check of a QueryOn answer: samples the pinned
+// snapshot under an "oracle" span, on hits and misses alike, and is
+// never cached. A no-op without options.
+Status RunOracle(const PlanNode& plan,
+                 const std::vector<const ProbDatabase*>& sources,
+                 const OracleOptions* options, TraceSpan& trace,
+                 StoreQueryResult* out) {
+  if (options == nullptr) return Status::OK();
+  TraceSpan span = trace.StartChild("oracle");
+  MRSL_ASSIGN_OR_RETURN(out->oracle,
+                        MonteCarloPlanOracle(plan, sources, *options));
+  if (span.active()) {
+    span.SetAttr("trials", static_cast<int64_t>(options->trials));
+    span.End();
+  }
+  out->resources.worlds_sampled += out->oracle.trials;
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
                                            const std::string& plan_text,
                                            const CompileOptions* compile,
-                                           TraceSpan trace) {
+                                           TraceSpan trace,
+                                           const OracleOptions* oracle) {
   if (snap == nullptr) {
     return Status::FailedPrecondition("store has no epoch yet");
   }
@@ -316,7 +335,6 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
                         PlanToString(*parsed.plan, sources));
   StoreQueryResult out;
   out.epoch = snap->epoch();
-  out.plan = parsed.plan;
   switch (parsed.kind) {
     case ParsedQuery::Kind::kRelation:
       out.canonical_text = rendered;
@@ -351,12 +369,15 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
     out.from_cache = true;
     out.eval = std::move(hit);
     trace.SetAttr("cache", "hit");
+    MRSL_RETURN_IF_ERROR(
+        RunOracle(*parsed.plan, sources, oracle, trace, &out));
     return out;
   }
   trace.SetAttr("cache", "miss");
 
   auto eval = std::make_shared<PlanEvaluation>();
   eval->kind = parsed.kind;
+  PlanResult result;
   if (compile != nullptr) {
     stage_timer.Reset();
     // Scope the compiler to the answers this query kind reads, mirroring
@@ -375,7 +396,7 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
     eval_span.End();
     out.stages.evaluate_seconds = stage_timer.ElapsedSeconds();
     eval->compiled = true;
-    eval->result = std::move(cq.result);
+    result = std::move(cq.result);
     eval->marginals = std::move(cq.marginals);
     eval->exists = cq.exists;
     eval->count = cq.count;
@@ -387,11 +408,10 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
     stage_timer.Reset();
     TraceSpan eval_span = trace.StartChild("evaluate");
     MRSL_ASSIGN_OR_RETURN(
-        eval->result,
+        result,
         EvaluatePlan(*parsed.plan, sources, eval_span, &out.resources));
     if (eval_span.active()) {
-      eval_span.SetAttr("rows",
-                        static_cast<int64_t>(eval->result.rows.size()));
+      eval_span.SetAttr("rows", static_cast<int64_t>(result.rows.size()));
       eval_span.End();
     }
     out.stages.evaluate_seconds = stage_timer.ElapsedSeconds();
@@ -402,22 +422,25 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
     TraceSpan combine_span = trace.StartChild("combine");
     switch (parsed.kind) {
       case ParsedQuery::Kind::kRelation:
-        eval->marginals = DistinctMarginals(eval->result, sources);
+        eval->marginals = DistinctMarginals(result, sources);
         break;
       case ParsedQuery::Kind::kExists:
-        eval->exists = ExistsFromResult(eval->result, sources);
+        eval->exists = ExistsFromResult(result, sources);
         break;
       case ParsedQuery::Kind::kCount:
-        eval->count = CountFromResult(eval->result, sources);
+        eval->count = CountFromResult(result, sources);
         break;
     }
     combine_span.End();
     out.stages.combine_seconds = stage_timer.ElapsedSeconds();
   }
 
-  // The entry's dependency set: every block any surviving row reads.
+  // The entry keeps the answer, not the rows: its dependency set is
+  // every block any surviving row reads.
+  eval->schema = std::move(result.schema);
+  eval->safe = result.safe;
   std::vector<uint64_t> touched;
-  for (const PlanRow& row : eval->result.rows) {
+  for (const PlanRow& row : result.rows) {
     touched.insert(touched.end(), row.lineage.blocks.begin(),
                    row.lineage.blocks.end());
   }
@@ -427,6 +450,7 @@ Result<StoreQueryResult> BidStore::QueryOn(const SnapshotPtr& snap,
   plan_cache_.Insert(cache_key, parsed.plan, out.epoch,
                      std::move(touched), eval);
   out.eval = std::move(eval);
+  MRSL_RETURN_IF_ERROR(RunOracle(*parsed.plan, sources, oracle, trace, &out));
   return out;
 }
 

@@ -87,10 +87,6 @@ class StoreSnapshot {
   }
   const std::vector<Component>& components() const { return components_; }
 
-  /// The cached Δt of `t`, or nullptr when `t` is not a distinct
-  /// incomplete tuple of this epoch (used by LazyDeriver seeding).
-  const JointDist* FindDist(const Tuple& t) const;
-
  private:
   friend class BidStore;
 
@@ -151,16 +147,18 @@ struct QueryStageTimes {
 /// included — so the workload-analytics layer can attribute each call
 /// to its shape. `resources` holds the evaluator's per-request peaks
 /// and counters; like `stages.evaluate_seconds`, it stays zero on
-/// cache hits (nothing was evaluated).
+/// cache hits (nothing was evaluated) except for `worlds_sampled`,
+/// which counts the oracle's trials. `oracle` is the Monte-Carlo
+/// cross-check when one was asked for (`oracle.trials` is 0 otherwise);
+/// it is recomputed on every call and never cached.
 struct StoreQueryResult {
   uint64_t epoch = 0;
   bool from_cache = false;
   std::string canonical_text;  // PlanToString rendering (the cache key)
   uint64_t fingerprint = 0;    // FNV-1a64 of normalized_text
   std::string normalized_text; // literals replaced by "?" (fingerprint.h)
-  PlanPtr plan;                // the parsed plan, for callers that re-run
-                               // it (the Monte-Carlo oracle)
   std::shared_ptr<const PlanEvaluation> eval;
+  OracleResult oracle;
   QueryStageTimes stages;
   PlanResources resources;
 };
@@ -228,12 +226,12 @@ class BidStore {
                                  const CompileOptions& compile_options);
 
   /// Query against an explicitly pinned snapshot of THIS store — the
-  /// one query path behind the CLI, the server, and its batched query
-  /// pass: the caller pins one epoch and evaluates any number of plans
-  /// against it, in order, while commits race ahead. Cache interaction
-  /// stays sound: hits are served only when the entry's epoch matches
-  /// `snap`'s, and an insert stamped with a superseded epoch is simply
-  /// never served and dropped at the next commit.
+  /// one query path behind `mrsl query` (--plan and --where) and the
+  /// server's POST /query: the caller pins one epoch and evaluates any
+  /// number of plans against it while commits race ahead. Cache
+  /// interaction stays sound: hits are served only when the entry's
+  /// epoch matches `snap`'s, and an insert stamped with a superseded
+  /// epoch is simply never served and dropped at the next commit.
   ///
   /// `compile` (when non-null) routes evaluation through the safe-plan
   /// compiler with those options; the cache key then carries
@@ -245,10 +243,16 @@ class BidStore {
   /// "combine" children, plus a "cache" = hit|miss attribute. Spans
   /// never influence the answer and never enter the plan cache: a
   /// traced response body is byte-identical to an untraced one.
+  ///
+  /// `oracle` (when non-null) also runs MonteCarloPlanOracle with those
+  /// options on `snap` — on hits and misses alike, under an "oracle"
+  /// span — into StoreQueryResult::oracle, and adds its trials to
+  /// `resources.worlds_sampled`.
   Result<StoreQueryResult> QueryOn(const SnapshotPtr& snap,
                                    const std::string& plan_text,
                                    const CompileOptions* compile = nullptr,
-                                   TraceSpan trace = TraceSpan());
+                                   TraceSpan trace = TraceSpan(),
+                                   const OracleOptions* oracle = nullptr);
 
   /// The current epoch as snapshot_io bytes (what SaveSnapshot writes,
   /// without the file) — the GET /snapshot payload. Fails before the

@@ -55,8 +55,7 @@ HttpResponse JsonError(const Status& status) {
   return resp;
 }
 
-std::string RenderQueryBody(const StoreQueryResult& result,
-                            const OracleResult* oracle) {
+std::string RenderQueryBody(const StoreQueryResult& result) {
   const PlanEvaluation& eval = *result.eval;
   std::string body = "{\"epoch\":" + std::to_string(result.epoch) +
                      ",\"plan\":\"" + JsonEscape(result.canonical_text) +
@@ -64,9 +63,9 @@ std::string RenderQueryBody(const StoreQueryResult& result,
   switch (eval.kind) {
     case ParsedQuery::Kind::kRelation: {
       body += ",\"kind\":\"relation\",\"safe\":";
-      body += eval.result.safe ? "true" : "false";
+      body += eval.safe ? "true" : "false";
       body += ",\"rows\":[";
-      const Schema& schema = eval.result.schema;
+      const Schema& schema = eval.schema;
       for (size_t i = 0; i < eval.marginals.size(); ++i) {
         const DistinctMarginal& m = eval.marginals[i];
         if (i > 0) body += ",";
@@ -107,12 +106,13 @@ std::string RenderQueryBody(const StoreQueryResult& result,
       }
       break;
   }
-  if (oracle != nullptr) {
-    body += ",\"oracle\":{\"trials\":" + std::to_string(oracle->trials) +
+  const OracleResult& oracle = result.oracle;
+  if (oracle.trials > 0) {  // a ?oracle=N cross-check ran
+    body += ",\"oracle\":{\"trials\":" + std::to_string(oracle.trials) +
             ",\"exists\":";
-    AppendNum(&body, oracle->exists);
+    AppendNum(&body, oracle.exists);
     body += ",\"expected_count\":";
-    AppendNum(&body, oracle->expected_count);
+    AppendNum(&body, oracle.expected_count);
     body += "}";
   }
   if (eval.compiled) {
@@ -469,24 +469,13 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
   // Every query pins its own snapshot on its handler thread, so
   // concurrent queries evaluate in parallel; the oracle samples the very
   // snapshot the answer came from.
-  const SnapshotPtr snap = store_->snapshot();
-  Result<StoreQueryResult> result =
-      store_->QueryOn(snap, text, with_compile ? &copts : nullptr, qspan);
-  OracleResult oracle;
   const bool with_oracle = oracle_trials > 0;
-  if (result.ok() && with_oracle) {
-    OracleOptions oo;
-    oo.trials = static_cast<size_t>(oracle_trials);
-    TraceSpan ospan = qspan.StartChild("oracle");
-    auto estimated =
-        MonteCarloPlanOracle(*result->plan, {&snap->database()}, oo);
-    if (ospan.active()) {
-      ospan.SetAttr("trials", oracle_trials);
-      ospan.End();
-    }
-    if (!estimated.ok()) return JsonError(estimated.status());
-    oracle = std::move(estimated).value();
-  }
+  OracleOptions oo;
+  oo.trials = static_cast<size_t>(oracle_trials);
+  Result<StoreQueryResult> result =
+      store_->QueryOn(store_->snapshot(), text,
+                      with_compile ? &copts : nullptr, qspan,
+                      with_oracle ? &oo : nullptr);
   qspan.End();
   if (!result.ok()) {
     // Failed calls still count: a client hammering a broken shape shows
@@ -515,7 +504,7 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
   }
 
   HttpResponse resp;
-  resp.body = RenderQueryBody(*result, with_oracle ? &oracle : nullptr);
+  resp.body = RenderQueryBody(*result);
   if (explicit_trace) {
     // EXPLAIN ANALYZE: splice the query span subtree in before the
     // closing brace. Everything before this field is byte-identical to
@@ -542,11 +531,6 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
         result->eval->compile_stats.plan_safe ? "safe" : "bounds");
   }
 
-  // The request's resources, fed to both the statement digest and the
-  // slow log: the store's evaluation plus any ?oracle trials.
-  PlanResources resources = result->resources;
-  if (with_oracle) resources.worlds_sampled += oracle.trials;
-
   const double elapsed_ms = wall.ElapsedSeconds() * 1000.0;
   if (options_.track_statements) {
     StatementSample sample;
@@ -556,7 +540,7 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     sample.cache_hit = result->from_cache;
     sample.compiled = result->eval->compiled;
     sample.elapsed_seconds = elapsed_ms / 1000.0;
-    sample.resources = resources;
+    sample.resources = result->resources;
     const PlanEvaluation& ev = *result->eval;
     switch (ev.kind) {
       case ParsedQuery::Kind::kRelation: {
@@ -587,7 +571,7 @@ HttpResponse StoreService::HandleQuery(const HttpRequest& request) {
     slow.fingerprint = result->fingerprint;
     slow.epoch = result->epoch;
     slow.elapsed_ms = elapsed_ms;
-    slow.resources = resources;
+    slow.resources = result->resources;
     if (request.trace != nullptr) {
       slow.trace_id = request.trace->trace_id_hex();
       slow.spans_json = SpanSubtreeJson(*request.trace, qspan.index());

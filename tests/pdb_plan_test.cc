@@ -447,6 +447,42 @@ TEST_F(PaperExamplePlanTest, ParserRoundTripsOnPaperSchema) {
 
 // --- Parser ---------------------------------------------------------------
 
+// Discretized attributes carry half-open interval labels; the canonical
+// rendering of a select on them must parse back.
+TEST(PlanParserTest, RoundTripsIntervalLabels) {
+  auto schema = Schema::Create(
+      {Attribute("g", {"(-inf,1.5)", "[1.5,3.0)", "[3.0,+inf)"}),
+       Attribute("h", {"[0,1]", "(1,2]"})});
+  ASSERT_TRUE(schema.ok());
+  ProbDatabase db(*schema);
+  Block b;
+  b.alternatives.push_back({Tuple({1, 1}), 0.6});
+  b.alternatives.push_back({Tuple({2, 0}), 0.4});
+  ASSERT_TRUE(db.AddBlock(b).ok());
+  std::vector<const ProbDatabase*> sources = {&db};
+
+  for (ValueId g = 0; g < 3; ++g) {
+    for (ValueId h = 0; h < 2; ++h) {
+      auto plan = SelectPlan(Predicate::Eq(0, g).And(Predicate::Ne(1, h)),
+                             ScanPlan(0));
+      auto rendered = PlanToString(*plan, sources);
+      ASSERT_TRUE(rendered.ok());
+      auto reparsed = ParsePlan("count(" + *rendered + ")", sources);
+      ASSERT_TRUE(reparsed.ok()) << *rendered << ": "
+                                 << reparsed.status().message();
+      auto again = PlanToString(*reparsed->plan, sources);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(*again, *rendered);
+    }
+  }
+  auto stray = ParsePlan("select(g=[1.5,3.0)]; scan)", sources);
+  ASSERT_FALSE(stray.ok());
+  EXPECT_NE(stray.status().message().find("unbalanced ']'"),
+            std::string::npos)
+      << stray.status().message();
+}
+
+
 TEST(PlanParserTest, ParsesNestedPlans) {
   ProbDatabase db = SmallDb();
   std::vector<const ProbDatabase*> sources = {&db};

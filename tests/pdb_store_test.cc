@@ -17,7 +17,6 @@
 
 #include "bn/bayes_net.h"
 #include "core/learner.h"
-#include "pdb/lazy.h"
 #include "pdb/snapshot_io.h"
 #include "util/csv.h"
 #include "util/fault_file.h"
@@ -561,24 +560,6 @@ TEST_F(StoreTest, CompiledQueriesKeyTheCacheByCompilerConfiguration) {
   EXPECT_EQ(compiled->eval->compile_stats.compile_seconds, 0.0);
 }
 
-TEST_F(StoreTest, LazyDeriverSeedsFromSnapshot) {
-  Engine engine(&model_);
-  BidStore store(&engine, SOpts());
-  ASSERT_TRUE(store.Commit(BaseRelation()).ok());
-  const uint64_t after_full = engine.stats().tuples;
-
-  Relation rel = store.snapshot()->base();
-  LazyDeriver lazy(&engine, &rel, SOpts().workload.gibbs);
-  EXPECT_EQ(lazy.SeedFromSnapshot(*store.snapshot()), 6u);
-  EXPECT_EQ(lazy.materialized(), 6u);
-
-  // Every query over the seeded rows is a pure cache lookup.
-  Predicate pred = Predicate::Eq(2, 0);
-  auto count = lazy.ExpectedCount(pred);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(engine.stats().tuples, after_full);
-}
-
 // Regression: an index-stable update that rewrites a row to a tuple
 // some OTHER row already had reuses that tuple's block object, but the
 // rewritten index still changed content — the plan cache must treat it
@@ -647,8 +628,7 @@ TEST_F(StoreTest, PlanCacheDropsEntriesThatSkippedACommit) {
   EXPECT_NE(cache.Lookup("q", 3), nullptr);
 }
 
-// QueryOn against one pinned snapshot (the server's batched query pass)
-// answers every plan at that epoch, even when a commit lands between
+// QueryOn against one pinned snapshot answers every plan at that epoch, even when a commit lands between
 // two of them, and duplicates against the pin hit the cache.
 TEST_F(StoreTest, QueryOnPinsOneSnapshotAcrossCommits) {
   Engine engine(&model_);
@@ -671,9 +651,6 @@ TEST_F(StoreTest, QueryOnPinsOneSnapshotAcrossCommits) {
   EXPECT_FALSE(count->from_cache);
   EXPECT_TRUE(count_again->from_cache);  // duplicate hits on the pin
   EXPECT_EQ(count_again->eval.get(), count->eval.get());
-  // The parsed plan rides along on misses and hits alike.
-  ASSERT_NE(count->plan, nullptr);
-  EXPECT_NE(count_again->plan, nullptr);
 
   // A commit lands mid-batch: the rest of the batch still answers on
   // the pinned epoch, a bad plan fails alone, and a pinned evaluation
@@ -693,6 +670,71 @@ TEST_F(StoreTest, QueryOnPinsOneSnapshotAcrossCommits) {
   auto fresh = store.Query(exists_plan);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->epoch, 2u);
+}
+
+// QueryOn's Monte-Carlo cross-check is MonteCarloPlanOracle on the
+// pinned snapshot, runs on cache hits and compiled misses alike, never
+// enters the cache, and counts its trials in worlds_sampled.
+TEST_F(StoreTest, QueryOnRunsTheOracleOnThePinnedSnapshot) {
+  Engine engine(&model_);
+  BidStore store(&engine, SOpts());
+  ASSERT_TRUE(store.Commit(BaseRelation()).ok());
+  const SnapshotPtr snap = store.snapshot();
+
+  // The unsafe self-join of the compiler cache-key test above: its
+  // compiled miss expands worlds of its own.
+  const std::string a1 = schema_.attr(1).name();
+  const std::string a2 = schema_.attr(2).name();
+  const std::string plan_text =
+      "project(" + a1 + "; join(scan; scan; " + a2 + "=" + a2 + "))";
+  OracleOptions oo;
+  oo.trials = 500;
+  auto parsed = ParsePlan(plan_text, {&snap->database()});
+  ASSERT_TRUE(parsed.ok());
+  auto direct = MonteCarloPlanOracle(*parsed->plan, {&snap->database()}, oo);
+  ASSERT_TRUE(direct.ok());
+  const auto expect_direct = [&](const OracleResult& got) {
+    EXPECT_EQ(got.trials, direct->trials);
+    EXPECT_TRUE(CheckSchemasMatch(direct->schema, got.schema).ok());
+    EXPECT_EQ(got.exists, direct->exists);
+    EXPECT_EQ(got.expected_count, direct->expected_count);
+    EXPECT_EQ(got.count_distribution, direct->count_distribution);
+    ASSERT_EQ(got.marginals.size(), direct->marginals.size());
+    for (size_t i = 0; i < got.marginals.size(); ++i) {
+      EXPECT_EQ(got.marginals[i].tuple, direct->marginals[i].tuple) << i;
+      EXPECT_EQ(got.marginals[i].prob, direct->marginals[i].prob) << i;
+    }
+  };
+
+  auto plain = store.QueryOn(snap, plan_text);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE(plain->from_cache);
+  EXPECT_EQ(plain->oracle.trials, 0u);
+  EXPECT_EQ(plain->resources.worlds_sampled, 0u);
+
+  auto hit = store.QueryOn(snap, plan_text, nullptr, TraceSpan(), &oo);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_cache);
+  EXPECT_EQ(hit->eval.get(), plain->eval.get());
+  expect_direct(hit->oracle);
+  EXPECT_EQ(hit->resources.worlds_sampled, 500u);
+
+  CompileOptions copts;
+  auto compiled = store.QueryOn(snap, plan_text, &copts, TraceSpan(), &oo);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_FALSE(compiled->from_cache);
+  ASSERT_TRUE(compiled->eval->compiled);
+  EXPECT_GT(compiled->eval->compile_stats.worlds_expanded, 0u);
+  expect_direct(compiled->oracle);
+  EXPECT_EQ(compiled->resources.worlds_sampled,
+            500u + compiled->eval->compile_stats.worlds_expanded);
+
+  // The oracle never rides along in the cache.
+  auto again = store.QueryOn(snap, plan_text);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->from_cache);
+  EXPECT_EQ(again->oracle.trials, 0u);
+  EXPECT_EQ(again->resources.worlds_sampled, 0u);
 }
 
 // SerializeCurrentSnapshot (the GET /snapshot payload) returns exactly

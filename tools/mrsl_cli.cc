@@ -14,18 +14,19 @@
 //           Replace missing cells with their most probable completion.
 //   query   --model model.txt --in data.csv --where attr=value[,attr=value...]
 //           [--samples N]
-//           Lazy query-targeted derivation: expected count / existence
-//           probability of rows matching the conjunction.
+//           Expected count / existence probability of rows matching the
+//           conjunction: count(select(...; scan)) and
+//           exists(select(...; scan)) on the same path as --plan.
 //   query   --model model.txt --in data.csv --plan "<plan>"
 //           [--oracle N] [--min-prob p] [--width W] [--budget-ms B]
 //           [--propagation 1]
 //           Extensional plan evaluation over the fully derived BID
 //           database, committed into a BidStore and answered through
-//           BidStore::QueryOn like serve's POST /query (--batch-size
-//           applies to --where only): select/project/join/exists/count
-//           with exact probabilities on safe plans and [lower, upper]
-//           dissociation bounds on unsafe ones; --oracle N
-//           cross-checks against N Monte-Carlo sampled possible worlds.
+//           BidStore::QueryOn like serve's POST /query:
+//           select/project/join/exists/count with exact probabilities
+//           on safe plans and [lower, upper] dissociation bounds on
+//           unsafe ones; --oracle N cross-checks against N Monte-Carlo
+//           sampled possible worlds.
 //           --plan-file reads the plan text from a file (large plans
 //           without shell quoting).
 //           --width / --budget-ms / --propagation route the plan through
@@ -85,7 +86,6 @@
 #include "core/tuning.h"
 #include "core/workload.h"
 #include "pdb/compiler.h"
-#include "pdb/lazy.h"
 #include "pdb/plan.h"
 #include "pdb/prob_database.h"
 #include "pdb/store.h"
@@ -125,7 +125,7 @@ const std::map<std::string, std::string>& CmdUsageTexts() {
        "  Replace missing cells with their most probable completion.\n"},
       {"query",
        "mrsl query --model model.txt --in data.csv --where a=v[,b=w...]\n"
-       "    [--samples 2000] [--threads 0] [--batch-size 0]\n"
+       "    [--min-prob 0] [--samples 2000] [--threads 0]\n"
        "mrsl query --model model.txt --in data.csv --plan PLAN\n"
        "    [--plan-file plan.txt] [--oracle 0] [--min-prob 0]\n"
        "    [--samples 2000] [--threads 0]\n"
@@ -133,9 +133,9 @@ const std::map<std::string, std::string>& CmdUsageTexts() {
        "  PLAN: scan | select(pred; node) | project(attrs; node)\n"
        "        | join(node; node; a=b) | exists(node) | count(node)\n"
        "  e.g. \"count(select(edu=HS & inc=100K; scan))\"\n"
-       "  --plan derives the whole relation and answers through the\n"
-       "  store's query path, as serve's POST /query does;\n"
-       "  --batch-size applies to --where only.\n"
+       "  Both forms derive the whole relation and answer through the\n"
+       "  store's query path, as serve's POST /query does; --where is\n"
+       "  count(select(a=v & ...; scan)) plus exists(...) of the same.\n"
        "  --width/--budget-ms compile the plan: anytime dissociation-\n"
        "  lattice refinement until the mean bounds width <= W (in [0,1])\n"
        "  or B ms elapse; --propagation 1 prints ranking scores only.\n"},
@@ -222,9 +222,7 @@ void PrintGlobalUsage(std::FILE* out) {
       "\n"
       "  --threads N     inference thread-pool width (0 = all cores);\n"
       "                  results are identical for every thread count\n"
-      "  --batch-size K  tuples per engine batch (0 = one batch); for\n"
-      "                  query --where, pre-materializes uncertain rows\n"
-      "                  K at a time\n");
+      "  --batch-size K  tuples per engine batch (0 = one batch)\n");
 }
 
 int Usage() {
@@ -540,8 +538,7 @@ int CmdRepair(const std::map<std::string, std::vector<std::string>>& flags) {
   return 0;
 }
 
-// Parses the store/engine flags shared by query --plan, update and
-// serve.
+// Parses the store/engine flags shared by query, update and serve.
 bool ParseStoreFlags(
     const std::map<std::string, std::vector<std::string>>& flags,
     StoreOptions* store_opts, EngineOptions* engine_opts) {
@@ -552,6 +549,18 @@ bool ParseStoreFlags(
     return false;
   }
   engine_opts->num_threads = static_cast<size_t>(threads);
+  return true;
+}
+
+// Derives `rel` as the first epoch of `store`; false (after reporting
+// the error) when the derivation fails.
+bool CommitQueryInput(BidStore* store, Relation rel) {
+  auto committed = store->Commit(std::move(rel));
+  if (!committed.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 committed.status().ToString().c_str());
+    return false;
+  }
   return true;
 }
 
@@ -579,25 +588,22 @@ int RunPlanQuery(const MrslModel& model, Relation rel,
     return Usage();
   }
   copts.propagation_only = propagation != 0;
-  if (flags.count("batch-size") != 0) {
-    std::fprintf(stderr, "note: --batch-size applies to --where only\n");
-  }
   // Any compiler flag routes the plan through the safe-plan compiler.
   const bool with_compile = flags.count("width") != 0 ||
                             flags.count("budget-ms") != 0 ||
                             flags.count("propagation") != 0;
+  const bool with_oracle = oracle_trials > 0;
+  OracleOptions oo;
+  oo.trials = static_cast<size_t>(oracle_trials);
+  oo.num_threads = engine_opts.num_threads;
 
   Engine engine(&model, engine_opts);
   BidStore store(&engine, store_opts);
-  auto committed = store.Commit(std::move(rel));
-  if (!committed.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 committed.status().ToString().c_str());
-    return 1;
-  }
+  if (!CommitQueryInput(&store, std::move(rel))) return 1;
   const SnapshotPtr snap = store.snapshot();
-  auto answer =
-      store.QueryOn(snap, plan_text, with_compile ? &copts : nullptr);
+  auto answer = store.QueryOn(snap, plan_text,
+                              with_compile ? &copts : nullptr, TraceSpan(),
+                              with_oracle ? &oo : nullptr);
   if (!answer.ok()) {
     std::fprintf(stderr, "error: %s\n", answer.status().ToString().c_str());
     return answer.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
@@ -605,22 +611,7 @@ int RunPlanQuery(const MrslModel& model, Relation rel,
   std::printf("PLAN %s  (%zu blocks)\n", answer->canonical_text.c_str(),
               snap->database().num_blocks());
 
-  const bool with_oracle = oracle_trials > 0;
-  OracleResult oracle;
-  if (with_oracle) {
-    OracleOptions oo;
-    oo.trials = static_cast<size_t>(oracle_trials);
-    oo.num_threads = engine_opts.num_threads;
-    auto estimated =
-        MonteCarloPlanOracle(*answer->plan, {&snap->database()}, oo);
-    if (!estimated.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   estimated.status().ToString().c_str());
-      return 1;
-    }
-    oracle = std::move(estimated).value();
-  }
-
+  const OracleResult& oracle = answer->oracle;
   const PlanEvaluation& eval = *answer->eval;
   const CompileStats& cs = eval.compile_stats;
   // Where the answer's probabilities come from; `safe` is the plain
@@ -632,14 +623,14 @@ int RunPlanQuery(const MrslModel& model, Relation rel,
   };
   switch (eval.kind) {
     case ParsedQuery::Kind::kRelation: {
-      std::printf("%s: %zu distinct tuples\n", how(eval.result.safe),
+      std::printf("%s: %zu distinct tuples\n", how(eval.safe),
                   eval.marginals.size());
       std::unordered_map<Tuple, double, TupleHash> freq;
       for (const ProbTuple& pt : oracle.marginals) {
         freq.emplace(pt.tuple, pt.prob);
       }
       for (const DistinctMarginal& m : eval.marginals) {
-        std::printf("  %s  p=%s", m.tuple.ToString(eval.result.schema).c_str(),
+        std::printf("  %s  p=%s", m.tuple.ToString(eval.schema).c_str(),
                     m.prob.ToString().c_str());
         if (with_oracle) {
           auto it = freq.find(m.tuple);
@@ -695,6 +686,65 @@ int RunPlanQuery(const MrslModel& model, Relation rel,
   return 0;
 }
 
+// --where a=v[,b=w...]: the conjunction answered as count(select(pred;
+// scan)) and exists(select(pred; scan)) on the same store and query
+// path as --plan.
+int RunWhereQuery(const MrslModel& model, Relation rel,
+                  const std::map<std::string, std::vector<std::string>>& flags,
+                  const std::string& where) {
+  const auto Usage = [] { return UsageFor("query"); };
+  // Parse the conjunction against the *model's* schema (the source of
+  // truth for value ids).
+  Predicate pred;
+  for (const std::string& atom : Split(where, ',')) {
+    auto kv = Split(atom, '=');
+    if (kv.size() != 2) return Usage();
+    AttrId attr = 0;
+    if (!model.schema().FindAttr(std::string(Trim(kv[0])), &attr)) {
+      std::fprintf(stderr, "unknown attribute: %s\n", kv[0].c_str());
+      return 2;
+    }
+    ValueId value = model.schema().attr(attr).Find(std::string(Trim(kv[1])));
+    if (value == kMissingValue) {
+      std::fprintf(stderr, "unknown value '%s' for attribute %s\n",
+                   kv[1].c_str(), kv[0].c_str());
+      return 2;
+    }
+    pred = pred.And(Predicate::Eq(attr, value));
+  }
+  StoreOptions store_opts;
+  EngineOptions engine_opts;
+  if (!ParseStoreFlags(flags, &store_opts, &engine_opts)) return Usage();
+
+  const size_t num_rows = rel.num_rows();
+  Engine engine(&model, engine_opts);
+  BidStore store(&engine, store_opts);
+  if (!CommitQueryInput(&store, std::move(rel))) return 1;
+  const SnapshotPtr snap = store.snapshot();
+  const auto ask = [&](const std::string& kind) -> Result<StoreQueryResult> {
+    MRSL_ASSIGN_OR_RETURN(
+        std::string select,
+        PlanToString(*SelectPlan(pred, ScanPlan()), {&snap->database()}));
+    return store.QueryOn(snap, kind + "(" + select + ")");
+  };
+  auto count = ask("count");
+  auto exists = ask("exists");
+  if (!count.ok() || !exists.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 (!count.ok() ? count.status() : exists.status())
+                     .ToString()
+                     .c_str());
+    return 1;
+  }
+  // A select over one scan is a safe plan: both answers are points.
+  std::printf("WHERE %s\n", pred.ToString(model.schema()).c_str());
+  std::printf("  expected matching rows: %.4f of %zu\n",
+              count->eval->count.expected.lo, num_rows);
+  std::printf("  P(at least one match):  %.6f\n",
+              exists->eval->exists.prob.lo);
+  return 0;
+}
+
 int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
   const auto Usage = [] { return UsageFor("query"); };
   std::string model_path = GetFlag(flags, "model", "");
@@ -717,7 +767,7 @@ int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
       return 2;
     }
   }
-  // Exactly one of --where (lazy path) / --plan (extensional algebra).
+  // Exactly one of --where / --plan (or --plan-file).
   if (model_path.empty() || where.empty() == plan_text.empty()) {
     return Usage();
   }
@@ -735,64 +785,7 @@ int CmdQuery(const std::map<std::string, std::vector<std::string>>& flags) {
   if (!plan_text.empty()) {
     return RunPlanQuery(*model, std::move(rel).value(), flags, plan_text);
   }
-
-  // Parse the conjunction against the *model's* schema (the source of
-  // truth for value ids).
-  Predicate pred;
-  for (const std::string& atom : Split(where, ',')) {
-    auto kv = Split(atom, '=');
-    if (kv.size() != 2) return Usage();
-    AttrId attr = 0;
-    if (!model->schema().FindAttr(std::string(Trim(kv[0])), &attr)) {
-      std::fprintf(stderr, "unknown attribute: %s\n", kv[0].c_str());
-      return 2;
-    }
-    ValueId value =
-        model->schema().attr(attr).Find(std::string(Trim(kv[1])));
-    if (value == kMissingValue) {
-      std::fprintf(stderr, "unknown value '%s' for attribute %s\n",
-                   kv[1].c_str(), kv[0].c_str());
-      return 2;
-    }
-    pred = pred.And(Predicate::Eq(attr, value));
-  }
-
-  GibbsOptions gibbs;
-  int64_t samples = 0;
-  EngineOptions engine_opts;
-  size_t batch_size = 0;
-  if (!GetIntFlag(flags, "samples", 2000, &samples) ||
-      !ParseEngineFlags(flags, &engine_opts, &batch_size)) {
-    return Usage();
-  }
-  gibbs.samples = static_cast<size_t>(samples);
-
-  Engine engine(&*model, engine_opts);
-  LazyDeriver lazy(&engine, &*rel, gibbs);
-  // Pre-derive the rows this query cannot decide, batched across the
-  // engine's pool; the per-row queries below then hit the memo.
-  auto prefetched = lazy.MaterializeUncertain(pred, batch_size);
-  if (!prefetched.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 prefetched.status().ToString().c_str());
-    return 1;
-  }
-  auto count = lazy.ExpectedCount(pred);
-  auto exists = lazy.ProbExists(pred);
-  if (!count.ok() || !exists.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 (!count.ok() ? count.status() : exists.status())
-                     .ToString()
-                     .c_str());
-    return 1;
-  }
-  std::printf("WHERE %s\n", pred.ToString(model->schema()).c_str());
-  std::printf("  expected matching rows: %.4f of %zu\n", *count,
-              rel->num_rows());
-  std::printf("  P(at least one match):  %.6f\n", *exists);
-  std::printf("  tuples materialized:    %zu (short-circuited %zu)\n",
-              lazy.materialized(), lazy.short_circuits());
-  return 0;
+  return RunWhereQuery(*model, std::move(rel).value(), flags, where);
 }
 
 void PrintCommitStats(const char* what, const CommitStats& stats) {
@@ -1239,8 +1232,7 @@ int main(int argc, char** argv) {
         "mode", "threads", "batch-size"}},
       {"query",
        {"model", "in", "where", "plan", "plan-file", "oracle", "min-prob",
-        "samples", "threads", "batch-size", "width", "budget-ms",
-        "propagation"}},
+        "samples", "threads", "width", "budget-ms", "propagation"}},
       {"update",
        {"model", "in", "delta", "snapshot", "wal-dir", "sync-mode",
         "samples", "burn-in", "mode", "min-prob", "threads"}},
